@@ -1,8 +1,16 @@
 """Seedable Monte Carlo engine for Bernoulli thinning.
 
+Thinning is simulated by waiting times: the index steps to the first
+survivor (from -1) and between survivors are i.i.d. Geometric(p), so walking
+them with ``Generator.geometric`` simulates the model itself at a cost
+proportional to the survivors visited, not the points (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. X).  A step past the
+last point is clipped to end just beyond it, which changes no outcome.
+
 Reproducibility contract: a given (parameters, seed) pair produces
 bit-identical results on every run of the same build.  Large trial counts
-are partitioned into fixed-size blocks; block b draws from a child of
+are partitioned into blocks of a fixed number of draws, so the block layout
+is a function of (trials, i) alone; block b draws from a child of
 ``numpy.random.SeedSequence(seed)``, and block results merge by addition,
 so the outcome is independent of how many worker threads are used.
 
@@ -12,19 +20,25 @@ globally through the ``SPACINGS_THREADS`` environment variable.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import ModelParams, _check_p, _check_positive_int
 from .errors import DomainError
 from .sequences import PointSet
 
 THREADS_ENV = "SPACINGS_THREADS"
 
-_BLOCK_CELLS = 1 << 22  # grid cells simulated per block
-_STREAM_CHUNK = 1 << 20
+_BLOCK_DRAWS = 1 << 18  # geometric waiting times drawn per block
+_SUBSET_SIGMAS = 6.0  # sample_subset draws beyond the expected survivor count
+# Generator.geometric saturates at 2**63 - 1 for waiting times >= 2**63,
+# which below this p happen with probability above exp(-128) per draw.
+_STREAM_P_MIN = 2.0**-56
+_GRID_N_MAX = 2**53 - 2  # grid end positions stay exact in float64
 
 
 def _check_seed(seed) -> int:
@@ -34,13 +48,6 @@ def _check_seed(seed) -> int:
     if not 0 <= seed < 1 << 64:
         raise DomainError(f"seed={seed} outside the unsigned 64-bit range")
     return seed
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"survival probability p={p} must be in (0, 1]")
-    return p
 
 
 def _resolve_workers(workers) -> int:
@@ -82,12 +89,29 @@ class SampleRun:
 
 
 def sample_subset(points: PointSet, p, seed) -> SampleRun:
-    """Retain each point independently with probability p."""
+    """Retain each point independently with probability p, in O(survivors).
+
+    Steps are drawn in chunks covering the expected survivors plus a margin;
+    the chunking does not change the result, since draws are consumed in order.
+    """
     p = _check_p(p)
     seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
-    keep = rng.random(len(points)) < p
-    survivors = np.flatnonzero(keep)
+    size = len(points)
+    pieces = []
+    last = -1  # index of the latest survivor
+    while True:
+        remaining = size - 1 - last
+        mean = p * remaining
+        steps = rng.geometric(p, int(mean + _SUBSET_SIGMAS * math.sqrt(mean)) + 1)
+        np.minimum(steps, remaining + 1, out=steps)
+        positions = last + np.cumsum(steps)
+        inside = int(np.searchsorted(positions, size))
+        pieces.append(positions[:inside])
+        if inside < positions.size:
+            break
+        last = int(positions[-1])
+    survivors = np.concatenate(pieces)
     survivors.flags.writeable = False
     return SampleRun(points, p, seed, survivors)
 
@@ -98,11 +122,7 @@ def ith_scaled_spacing(run: SampleRun, i, n) -> int | None:
     Returns None when the run has at most i survivors (the conditioning
     event failed).
     """
-    if i != int(i) or int(i) < 1:
-        raise DomainError(f"i={i} must be an integer >= 1")
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"n={n} must be an integer >= 1")
-    i, n = int(i), int(n)
+    i, n = _check_positive_int(i, "i"), _check_positive_int(n, "n")
     if len(run.survivors) <= i:
         return None
     values = run.survivor_values
@@ -135,85 +155,61 @@ class EmpiricalDistribution:
 
 
 def _simulate_block(child: np.random.SeedSequence, n: int, p: float, i: int,
-                    rows: int) -> tuple[np.ndarray, int]:
+                    rows: int) -> tuple[np.ndarray, np.ndarray, int]:
     rng = np.random.default_rng(child)
-    keep = rng.random((rows, n + 1)) < p
-    row_idx, col_idx = np.nonzero(keep)
-    per_row = np.bincount(row_idx, minlength=rows)
-    qualifying = np.flatnonzero(per_row > i)
-    offsets = np.concatenate(([0], np.cumsum(per_row)))
-    gaps = col_idx[offsets[qualifying] + i] - col_idx[offsets[qualifying] + i - 1]
-    return np.bincount(gaps), rows - qualifying.size
+    steps = rng.geometric(p, (rows, i + 1))  # survivor k sits at steps[:k+1].sum() - 1
+    np.minimum(steps, n + 1, out=steps)
+    # float64 sums are exact up to 2**53 > n + 1 and round monotonically, so
+    # the test below is exact; an int64 sum could overflow for large i * n.
+    kept = steps.sum(axis=1, dtype=np.float64) <= n + 1  # survivor i+1 on the grid
+    # unique, not bincount: spacings can reach n, far beyond the row count
+    values, counts = np.unique(steps[kept, i], return_counts=True)
+    return values, counts, rows - int(np.count_nonzero(kept))
 
 
 def collect_empirical(n, p, i, trials, seed, workers=None) -> EmpiricalDistribution:
     """Thin grid(n) repeatedly and histogram the i-th scaled spacing.
 
-    Trials whose runs have at most i survivors are counted as discarded.
-    The trial partitioning into blocks is a function of n alone, so results
-    depend only on (n, p, i, trials, seed), never on the worker count.
+    A trial walks to the (i+1)-th survivor in i+1 geometric steps, O(i) for
+    any n, and is discarded when that survivor lies beyond the grid.  Blocks
+    hold a fixed number of draws, so the partitioning depends on (trials, i)
+    alone and results never depend on the worker count.
     """
-    if trials != int(trials) or int(trials) < 1:
-        raise DomainError(f"trials={trials} must be an integer >= 1")
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"n={n} must be an integer >= 1")
-    if i != int(i) or not 1 <= int(i) <= int(n):
-        raise DomainError(f"i={i} outside 1..{n}")
-    n, i, trials = int(n), int(i), int(trials)
-    p = _check_p(p)
+    trials = _check_positive_int(trials, "trials")
+    params = ModelParams(n, p, i)
+    n, p, i = params.n, params.p, params.i
+    if n > _GRID_N_MAX:
+        raise DomainError(f"n={n} exceeds the sampler's limit 2**53 - 2")
     seed = _check_seed(seed)
     workers = _resolve_workers(workers)
 
-    rows_per_block = max(1, _BLOCK_CELLS // (n + 1))
+    rows_per_block = max(1, _BLOCK_DRAWS // (i + 1))
     n_blocks = (trials + rows_per_block - 1) // rows_per_block
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     sizes = [min(rows_per_block, trials - b * rows_per_block) for b in range(n_blocks)]
 
-    if workers == 1:
-        results = [
-            _simulate_block(children[b], n, p, i, sizes[b]) for b in range(n_blocks)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-            results = list(
-                pool.map(lambda b: _simulate_block(children[b], n, p, i, sizes[b]),
-                         range(n_blocks))
-            )
+    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+        results = list(
+            pool.map(lambda b: _simulate_block(children[b], n, p, i, sizes[b]),
+                     range(n_blocks))
+        )
 
-    width = max((r[0].size for r in results), default=0)
-    merged = np.zeros(max(width, 1), dtype=np.int64)
-    discarded = 0
-    for bins, missed in results:
-        merged[: bins.size] += bins
-        discarded += missed
-    counts = {int(d): int(c) for d, c in enumerate(merged) if d >= 1 and c > 0}
-    return EmpiricalDistribution(counts, discarded)
+    support, where = np.unique(np.concatenate([r[0] for r in results]), return_inverse=True)
+    totals = np.bincount(where, weights=np.concatenate([r[1] for r in results]))
+    counts = {int(d): int(c) for d, c in zip(support, totals)}
+    return EmpiricalDistribution(counts, sum(r[2] for r in results))
 
 
 def inter_arrival_stream(p, seed, count) -> np.ndarray:
     """First ``count`` gaps between successes of an endless Bernoulli(p) process.
 
-    The process is simulated directly: chunks of independent trials are
-    drawn and the index differences of successive successes are emitted.
-    Each gap is a positive integer and the gaps are i.i.d.
+    The gaps are i.i.d. Geometric(p) positive integers, drawn as the
+    process's waiting times.  p below 2**-56 is rejected: its gaps would
+    overflow int64.
     """
     p = _check_p(p)
+    if p < _STREAM_P_MIN:
+        raise DomainError(f"p={p} below 2**-56: inter-arrival gaps would overflow int64")
     seed = _check_seed(seed)
-    if count != int(count) or int(count) < 1:
-        raise DomainError(f"count={count} must be an integer >= 1")
-    count = int(count)
-    rng = np.random.default_rng(seed)
-    pieces = []
-    collected = 0
-    prev = -1  # index of the previous success
-    base = 0
-    while collected < count:
-        hits = rng.random(_STREAM_CHUNK) < p
-        positions = np.flatnonzero(hits) + base
-        if positions.size:
-            gaps = np.diff(positions, prepend=prev)
-            pieces.append(gaps)
-            collected += gaps.size
-            prev = int(positions[-1])
-        base += _STREAM_CHUNK
-    return np.concatenate(pieces)[:count]
+    count = _check_positive_int(count, "count")
+    return np.random.default_rng(seed).geometric(p, count)

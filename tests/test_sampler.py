@@ -1,11 +1,43 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import spacings as sp
+from spacings import sampler
 from spacings.errors import DomainError
 from spacings.sampler import THREADS_ENV
+
+
+def dense_reference(n, p, i, trials, seed):
+    """Thin grid(n) point by point: one uniform draw per grid point per trial.
+
+    Independent of the geometric waiting times the sampler walks; returns
+    the histogram of the i-th spacing over d = 1..n and the discard count.
+    """
+    rng = np.random.default_rng(seed)
+    keep = rng.random((trials, n + 1)) < p
+    row_idx, col_idx = np.nonzero(keep)
+    per_row = np.bincount(row_idx, minlength=trials)
+    qualifying = np.flatnonzero(per_row > i)
+    offsets = np.concatenate(([0], np.cumsum(per_row)))
+    gaps = col_idx[offsets[qualifying] + i] - col_idx[offsets[qualifying] + i - 1]
+    return np.bincount(gaps, minlength=n + 1)[1:], trials - qualifying.size
+
+
+def _chi_square_pvalue(counts, masses):
+    """Goodness of fit of counts to masses, pooling cells expected below 5."""
+    expected = counts.sum() * masses
+    big = expected >= 5
+    obs = np.append(counts[big], counts[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    obs, exp = obs[exp > 0], exp[exp > 0]
+    if obs.size == 1:
+        return 1.0 if obs[0] == counts.sum() else 0.0
+    return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), obs.size - 1))
 
 
 class TestSampleSubset:
@@ -37,6 +69,18 @@ class TestSampleSubset:
                     for seed in range(m))
         se = math.sqrt(11 * 0.3 * 0.7 / m)
         assert abs(total / m - 3.3) < 3 * se
+
+    def test_chunking_does_not_change_survivors(self, monkeypatch):
+        # with no margin the walk often outruns its first chunk of steps
+        expected = [sp.sample_subset(sp.grid(1000), p, s).survivors
+                    for p in (0.05, 0.5, 1.0) for s in range(4)]
+        monkeypatch.setattr(sampler, "_SUBSET_SIGMAS", 0.0)
+        chunked = [sp.sample_subset(sp.grid(1000), p, s).survivors
+                   for p in (0.05, 0.5, 1.0) for s in range(4)]
+        assert all(np.array_equal(a, b) for a, b in zip(expected, chunked))
+
+    def test_tiny_p_keeps_nothing(self):
+        assert sp.sample_subset(sp.grid(10**6), 1e-30, 4).survivors.size == 0
 
     def test_invalid(self):
         with pytest.raises(DomainError):
@@ -93,11 +137,56 @@ class TestCollectEmpirical:
         monkeypatch.delenv(THREADS_ENV)
         assert enveloped.counts == sp.collect_empirical(100, 0.3, 1, 20_000, 11).counts
 
+    def test_workers_across_several_blocks(self):
+        trials = 3 * (sampler._BLOCK_DRAWS // 2) + 7  # four blocks at i = 1
+        base = sp.collect_empirical(10**6, 0.01, 1, trials, 91, workers=1)
+        threaded = sp.collect_empirical(10**6, 0.01, 1, trials, 91, workers=3)
+        assert base == threaded
+        assert base.total + base.discarded == trials
+
+    @pytest.mark.parametrize("n, p, i", [(10**9, 0.5, 3), (10**12, 1e-11, 1)])
+    def test_memory_does_not_grow_with_n(self, n, p, i):
+        # the grid is never materialized and the histogram is sparse
+        tracemalloc.start()
+        try:
+            emp = sp.collect_empirical(n, p, i, 10_000, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emp.total + emp.discarded == 10_000
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n, p, i", [
+        (1, Fraction(1, 2), 1),
+        (6, Fraction(3, 10), 2),
+        (5, Fraction(1, 2), 5),
+        (8, Fraction(4, 5), 1),
+        (12, Fraction(1, 10), 3),
+        (4, Fraction(1), 4),
+    ])
+    def test_agrees_in_law_with_dense_reference_and_exact_table(self, n, p, i):
+        trials = 200_000
+        exact = sp.enumerate_conditional_pmf(n, p, i)
+        masses = np.array([float(exact.mass(d)) for d in range(1, n + 1)])
+        tail = sp.size_tail(n, float(p), i).prob
+        emp = sp.collect_empirical(n, float(p), i, trials, 606)
+        skipped = np.array([emp.counts.get(d, 0) for d in range(1, n + 1)])
+        dense, dense_discarded = dense_reference(n, float(p), i, trials, 607)
+        for counts, discarded in ((skipped, emp.discarded), (dense, dense_discarded)):
+            assert counts.sum() + discarded == trials
+            se = math.sqrt(trials * tail * (1 - tail))
+            assert abs(counts.sum() - trials * tail) <= 4 * se
+            assert _chi_square_pvalue(counts, masses) > 1e-4
+
     def test_invalid(self):
         with pytest.raises(DomainError):
             sp.collect_empirical(10, 0.5, 1, 0, 1)
         with pytest.raises(DomainError):
             sp.collect_empirical(10, 0.5, 11, 100, 1)
+        with pytest.raises(DomainError):
+            sp.collect_empirical(10, 1.5, 1, 100, 1)
+        with pytest.raises(DomainError):
+            sp.collect_empirical(2**53, 0.5, 1, 100, 1)
 
 
 class TestInterArrivalStream:
@@ -121,6 +210,20 @@ class TestInterArrivalStream:
         draws = sp.inter_arrival_stream(1e-5, 12, 50)
         assert draws.min() >= 1
         assert draws.size == 50
+
+    def test_small_p_costs_nothing_extra(self):
+        draws = sp.inter_arrival_stream(1e-8, 13, 20)
+        assert draws.size == 20
+        assert draws.min() >= 1
+
+    def test_tiny_p_never_emits_saturated_gaps(self):
+        # Generator.geometric(1e-19) returns 2**63 - 1 in most draws
+        with pytest.raises(DomainError):
+            sp.inter_arrival_stream(1e-19, 5, 5)
+        with pytest.raises(DomainError):
+            sp.inter_arrival_stream(2.0**-57, 5, 5)
+        draws = sp.inter_arrival_stream(2.0**-56, 5, 10_000)
+        assert draws.max() < np.iinfo(np.int64).max
 
     def test_invalid(self):
         with pytest.raises(DomainError):
