@@ -13,8 +13,6 @@ available; always prints the head of the histogram table.
 
 import pathlib
 
-import numpy as np
-
 import spacings as sp
 
 n, p, i, trials, seed = 50_000, 0.1, 1, 20_500, 4242
@@ -27,7 +25,7 @@ print(f"KS distance to Geometric({p}): {report.ks:.4f}   TV: {report.tv:.4f}\n")
 
 d, counts = emp.as_arrays()
 mass = counts / emp.total
-limit = np.array([sp.limit_pmf(p, int(v)) for v in d])
+limit = sp.limit_pmf(p, d)
 
 print(f"{'d':>4} {'count':>7} {'empirical':>11} {'limit':>11}")
 for k in range(12):

@@ -14,6 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import diagnostics, oracle, sampler, sequences
 from .distribution import (
     ModelParams,
@@ -22,7 +24,7 @@ from .distribution import (
     limit_pmf,
     spacing_distribution,
 )
-from .errors import DomainError, EmptySampleError
+from .errors import DomainError, EmptySampleError, check_int
 
 
 class _UsageError(Exception):
@@ -49,39 +51,52 @@ def _parse_n_list(text: str) -> list[int]:
         raise DomainError(f"--n-list {text!r} must be comma-separated integers") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+_CHUNK = 4096  # rows converted to Python values at a time
 
 
-def _emit(rows: list[dict], fmt: str) -> None:
+def _emit(columns: dict, fmt: str) -> None:
+    """Write equal-length columns as one table, streamed in row chunks.
+
+    CSV prints floats with 17 significant digits and other values with
+    ``str``, and nothing at all for an empty table; JSON is the text
+    ``json.dump`` gives for the list of row objects.
+    """
+    keys = list(columns)
+    cols = [np.asarray(c) for c in columns.values()]
+    size = len(cols[0])
     if fmt == "json":
-        json.dump(rows, sys.stdout)
-        sys.stdout.write("\n")
+        sys.stdout.write("[")
+        for start in range(0, size, _CHUNK):
+            rows = zip(*(c[start : start + _CHUNK].tolist() for c in cols))
+            text = json.dumps([dict(zip(keys, row)) for row in rows])
+            sys.stdout.write((", " if start else "") + text[1:-1])
+        sys.stdout.write("]\n")
+        return
+    if not size:
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    if rows:
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(_fmt(v) for v in row.values())
+    writer.writerow(keys)
+    for start in range(0, size, _CHUNK):
+        cells = [c[start : start + _CHUNK].tolist() for c in cols]
+        cells = [[format(v, ".17g") for v in cell] if c.dtype.kind == "f" else cell
+                 for c, cell in zip(cols, cells)]
+        writer.writerows(zip(*cells))
+
+
+def _steps(d_max, n=None) -> np.ndarray:
+    """d = 1..min(d_max, n); all of 1..n without --d-max, all of 1..d_max without n."""
+    if d_max is not None:
+        d_max = check_int(d_max, "--d-max", 1)
+        n = d_max if n is None else min(d_max, n)
+    return np.arange(1, n + 1)
 
 
 def _cmd_pmf(args) -> int:
     params = ModelParams(args.n, _parse_p(args.p), args.i)
     table = spacing_distribution(params)
-    d_max = params.n if args.d_max is None else min(args.d_max, params.n)
-    cdf = table.cdf
-    rows = [
-        {
-            "d": d,
-            "pmf": float(table.mass[d - 1]),
-            "cdf": float(cdf[d - 1]),
-            "limit_cdf": limit_cdf(params.p, d),
-        }
-        for d in range(1, d_max + 1)
-    ]
-    _emit(rows, args.format)
+    d = _steps(args.d_max, params.n)
+    _emit({"d": d, "pmf": table.mass[: d.size], "cdf": table.cdf[: d.size],
+           "limit_cdf": limit_cdf(params.p, d)}, args.format)
     return 0
 
 
@@ -89,27 +104,19 @@ def _cmd_cdf(args) -> int:
     params = ModelParams(args.n, _parse_p(args.p), args.i)
     if args.closed_form and params.i != 1:
         raise DomainError("--closed-form is only available for --i 1")
-    d_max = params.n if args.d_max is None else min(args.d_max, params.n)
+    d = _steps(args.d_max, params.n)
     if args.closed_form:
-        values = [cdf_scaled_closed_i1(params.n, params.p, d) for d in range(1, d_max + 1)]
+        cdf = [cdf_scaled_closed_i1(params.n, params.p, k) for k in d.tolist()]
     else:
-        cdf = spacing_distribution(params).cdf
-        values = [float(cdf[d - 1]) for d in range(1, d_max + 1)]
-    rows = [
-        {"d": d, "cdf": values[d - 1], "limit_cdf": limit_cdf(params.p, d)}
-        for d in range(1, d_max + 1)
-    ]
-    _emit(rows, args.format)
+        cdf = spacing_distribution(params).cdf[: d.size]
+    _emit({"d": d, "cdf": cdf, "limit_cdf": limit_cdf(params.p, d)}, args.format)
     return 0
 
 
 def _cmd_limit(args) -> int:
     p = _parse_p(args.p)
-    rows = [
-        {"d": d, "limit_pmf": limit_pmf(p, d), "limit_cdf": limit_cdf(p, d)}
-        for d in range(1, args.d_max + 1)
-    ]
-    _emit(rows, args.format)
+    d = _steps(args.d_max)
+    _emit({"d": d, "limit_pmf": limit_pmf(p, d), "limit_cdf": limit_cdf(p, d)}, args.format)
     return 0
 
 
@@ -117,17 +124,9 @@ def _cmd_sample(args) -> int:
     p = _parse_p(args.p)
     emp = sampler.collect_empirical(args.n, p, args.i, args.trials, args.seed)
     total = emp.total
-    d_arr, counts = emp.as_arrays()
-    rows = [
-        {
-            "d": int(d),
-            "count": int(c),
-            "empirical_mass": float(c / total),
-            "limit_pmf": limit_pmf(p, int(d)),
-        }
-        for d, c in zip(d_arr, counts)
-    ]
-    _emit(rows, args.format)
+    d, counts = emp.as_arrays()
+    _emit({"d": d, "count": counts.astype(np.int64), "empirical_mass": counts / total,
+           "limit_pmf": limit_pmf(p, d)}, args.format)
     print(f"retained={int(total)} discarded={emp.discarded}", file=sys.stderr)
     return 0
 
@@ -135,16 +134,15 @@ def _cmd_sample(args) -> int:
 def _cmd_stream(args) -> int:
     p = _parse_p(args.p)
     gaps = sampler.inter_arrival_stream(p, args.seed, args.count)
-    rows = [{"k": k + 1, "inter_arrival": int(m)} for k, m in enumerate(gaps)]
-    _emit(rows, args.format)
+    _emit({"k": np.arange(1, gaps.size + 1), "inter_arrival": gaps}, args.format)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     p = _parse_p(args.p)
     result = diagnostics.convergence_sweep(p, args.i, _parse_n_list(args.n_list), args.d_max)
-    rows = [{"n": n, "sup_distance": sup} for n, sup in result]
-    _emit(rows, args.format)
+    ns, sups = zip(*result)
+    _emit({"n": ns, "sup_distance": sups}, args.format)
     return 0
 
 
@@ -155,17 +153,13 @@ def _cmd_oracle(args) -> int:
     enumerated = oracle.enumerate_conditional_pmf(args.n, p, args.i)
     closed = oracle.exact_closed_form_pmf(args.n, p, args.i)
     match = enumerated.masses == closed.masses
-    rows = []
-    for d in range(1, args.n + 1):
-        row = {
-            "d": d,
-            "enumerated": str(enumerated.mass(d)),
-            "closed_form": str(closed.mass(d)),
-        }
-        if args.format == "json":
-            row["match"] = enumerated.mass(d) == closed.mass(d)
-        rows.append(row)
-    _emit(rows, args.format)
+    d = range(1, args.n + 1)
+    columns = {"d": d,
+               "enumerated": [str(enumerated.mass(k)) for k in d],
+               "closed_form": [str(closed.mass(k)) for k in d]}
+    if args.format == "json":
+        columns["match"] = [enumerated.mass(k) == closed.mass(k) for k in d]
+    _emit(columns, args.format)
     verdict = "MATCH" if match else "MISMATCH"
     if args.format == "json":
         print(verdict, file=sys.stderr)
@@ -187,11 +181,8 @@ def _cmd_seq_sample(args) -> int:
     run_ = sampler.sample_subset(points, p, args.seed)
     spacings = run_.spacings
     mean = float(spacings.mean()) if spacings.size else float("nan")
-    rows = [
-        {"index": k + 1, "spacing": float(s), "scaled_spacing": float(s / mean)}
-        for k, s in enumerate(spacings)
-    ]
-    _emit(rows, args.format)
+    _emit({"index": np.arange(1, spacings.size + 1), "spacing": spacings,
+           "scaled_spacing": spacings / mean}, args.format)
     print(f"points={len(points)} survivors={len(run_.survivors)}", file=sys.stderr)
     try:
         report = diagnostics.scaled_mean_exponential_check(spacings)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import ModelParams, spacing_distribution
-from .errors import DomainError, EmptySampleError
+from .distribution import ModelParams, limit_cdf, limit_pmf, spacing_distribution
+from .errors import DomainError, EmptySampleError, check_int, check_p
 from .sampler import EmpiricalDistribution
 
 
@@ -39,19 +39,14 @@ class DistanceReport:
             raise DomainError("TV distance must be in [0, 1]")
 
 
-def _geometric_cdf_curve(p: float, d: np.ndarray) -> np.ndarray:
-    if p == 1.0:
-        return np.ones(d.size)
-    return -np.expm1(d * math.log1p(-p))
-
-
-def _geometric_pmf_curve(p: float, d: np.ndarray) -> np.ndarray:
-    if p == 1.0:
-        out = np.zeros(d.size)
-        if d.size:
-            out[d == 1] = 1.0
-        return out
-    return p * np.exp((d - 1) * math.log1p(-p))
+def _atom_masses(emp: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Observed values in ascending order and their empirical masses."""
+    atoms = np.array(sorted(emp.counts), dtype=np.int64)
+    counts = np.array([emp.counts[a] for a in atoms.tolist()], dtype=np.float64)
+    total = counts.sum()
+    if not total > 0:
+        raise EmptySampleError("empirical distribution has no observations")
+    return atoms, counts / total
 
 
 def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
@@ -60,44 +55,51 @@ def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
     KS is the sup over d = 1..max observed of |empirical CDF - geometric
     CDF|; TV additionally charges the geometric mass beyond the observed
     range, where the empirical mass function is zero.
+
+    Both are evaluated at the observed atoms only, so the cost grows with
+    the number of distinct values, not with the largest one.  Between
+    atoms the empirical CDF is flat and the geometric CDF increases, so the
+    KS sup lies at an atom a or just below it, at a - 1.
     """
-    if not 0.0 < float(p) <= 1.0:
-        raise DomainError(f"p={p} must be in (0, 1]")
-    p = float(p)
-    total = emp.total
-    if total <= 0:
-        raise EmptySampleError("empirical distribution has no observations")
-    d, counts = emp.as_arrays()
-    emp_mass = counts / total
-    ks = float(np.abs(np.cumsum(emp_mass) - _geometric_cdf_curve(p, d)).max())
-    tail = 0.0 if p == 1.0 else math.exp(emp.max_observed * math.log1p(-p))
-    tv = 0.5 * (float(np.abs(emp_mass - _geometric_pmf_curve(p, d)).sum()) + tail)
-    return DistanceReport(ks=ks, tv=min(tv, 1.0), n_effective=int(total))
+    p = check_p(p)
+    atoms, emp_mass = _atom_masses(emp)
+    emp_cdf = np.cumsum(emp_mass)
+    below = atoms - 1
+    inner = below >= 1
+    before = np.concatenate(([0.0], emp_cdf[:-1]))[inner]
+    ks = max(float(np.abs(emp_cdf - limit_cdf(p, atoms)).max()),
+             float(np.abs(before - limit_cdf(p, below[inner])).max(initial=0.0)))
+    geo_mass = limit_pmf(p, atoms)
+    unobserved = max(1.0 - math.fsum(geo_mass), 0.0)
+    tv = 0.5 * (float(np.abs(emp_mass - geo_mass).sum()) + unobserved)
+    return DistanceReport(ks=ks, tv=min(tv, 1.0), n_effective=int(emp.total))
 
 
-def _aligned_masses(a: EmpiricalDistribution, b: EmpiricalDistribution):
-    dmax = max(a.max_observed, b.max_observed)
+def _union_masses(a: EmpiricalDistribution, b: EmpiricalDistribution):
+    """Masses of both histograms over the union of their observed atoms."""
+    (xa, ma), (xb, mb) = _atom_masses(a), _atom_masses(b)
+    support = np.union1d(xa, xb)
     out = []
-    for emp in (a, b):
-        m = np.zeros(dmax)
-        for val, cnt in emp.counts.items():
-            m[val - 1] = cnt
-        total = m.sum()
-        if total <= 0:
-            raise EmptySampleError("empirical distribution has no observations")
-        out.append(m / total)
-    return out[0], out[1]
+    for x, m in ((xa, ma), (xb, mb)):
+        full = np.zeros(support.size)
+        full[np.searchsorted(support, x)] = m
+        out.append(full)
+    return out
 
 
 def tv_between(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """Total-variation distance between two empirical histograms."""
-    ma, mb = _aligned_masses(a, b)
+    ma, mb = _union_masses(a, b)
     return 0.5 * float(np.abs(ma - mb).sum())
 
 
 def ks_between(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
-    """Atom-wise KS distance between two empirical histograms."""
-    ma, mb = _aligned_masses(a, b)
+    """Atom-wise KS distance between two empirical histograms.
+
+    Both CDFs are flat between the atoms of either, so the sup is taken
+    over the union of observed atoms.
+    """
+    ma, mb = _union_masses(a, b)
     return float(np.abs(np.cumsum(ma) - np.cumsum(mb)).max())
 
 
@@ -107,19 +109,15 @@ def convergence_sweep(p, i, n_list, d_max) -> list[tuple[int, float]]:
     No sampling is involved: each distance is computed from the tabulated
     conditional cdf.  Output is ordered by n.
     """
-    if d_max != int(d_max) or int(d_max) < 1:
-        raise DomainError(f"d_max={d_max} must be an integer >= 1")
-    d_max = int(d_max)
-    ns = [int(n) for n in n_list]
+    p = check_p(p)
+    i = check_int(i, "i", 1)
+    d_max = check_int(d_max, "d_max", 1)
+    ns = [check_int(n, "n", i) for n in n_list]
     if not ns:
         raise DomainError("n_list must not be empty")
-    for n in ns:
-        if n < max(int(i), 1):
-            raise DomainError(f"n={n} is below the spacing index i={i}")
     if d_max > min(ns):
         raise DomainError(f"d_max={d_max} exceeds the smallest n={min(ns)}")
-    d = np.arange(1, d_max + 1)
-    limit = _geometric_cdf_curve(float(p), d)
+    limit = limit_cdf(p, np.arange(1, d_max + 1))
     out = []
     for n in sorted(ns):
         table = spacing_distribution(ModelParams(n, p, i))

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_p
 from .logprob import (
     LogProb,
     log_binomial,
@@ -40,22 +40,6 @@ _CUTOFF_NATS = 60.0
 _CHUNK = 4096
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"survival probability p={p} must be in (0, 1]")
-    return p
-
-
-def _check_positive_int(value, name: str) -> int:
-    if value != int(value):
-        raise DomainError(f"{name}={value} must be an integer")
-    value = int(value)
-    if value < 1:
-        raise DomainError(f"{name}={value} must be >= 1")
-    return value
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Grid size n, survival probability p, spacing index i.
@@ -69,20 +53,9 @@ class ModelParams:
     i: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _check_positive_int(self.n, "n"))
-        object.__setattr__(self, "p", _check_p(self.p))
-        object.__setattr__(self, "i", _check_positive_int(self.i, "i"))
-        if self.i > self.n:
-            raise DomainError(f"spacing index i={self.i} exceeds grid size n={self.n}")
-
-
-def _check_d(n: int, d) -> int:
-    if d != int(d):
-        raise DomainError(f"d={d} must be an integer")
-    d = int(d)
-    if not 1 <= d <= n:
-        raise DomainError(f"d={d} outside the support 1..{n}")
-    return d
+        object.__setattr__(self, "n", check_int(self.n, "n", 1))
+        object.__setattr__(self, "p", check_p(self.p))
+        object.__setattr__(self, "i", check_int(self.i, "i", 1, self.n))
 
 
 def _logsumexp_unimodal(logterm, lo: int, hi: int, peak: int) -> float:
@@ -149,7 +122,7 @@ def unconditional_spacing_prob(params: ModelParams, d) -> LogProb:
     eliminations, and survival at j+d.  Empty sums (no room for i earlier
     survivors, d > n-i+1) give exact probability zero.
     """
-    d = _check_d(params.n, d)
+    d = check_int(d, "d", 1, params.n)
     n, p, i = params.n, params.p, params.i
     if i - 1 > n - d:
         return LogProb.zero()
@@ -166,13 +139,9 @@ def size_tail(n, p, i) -> LogProb:
     avoids the catastrophic cancellation of 1 - (lower tail) when the
     survival probability is itself tiny.
     """
-    n = _check_positive_int(n, "n")
-    p = _check_p(p)
-    if i != int(i):
-        raise DomainError(f"i={i} must be an integer")
-    i = int(i)
-    if not 0 <= i <= n:
-        raise DomainError(f"i={i} outside 0..{n}")
+    n = check_int(n, "n", 1)
+    p = check_p(p)
+    i = check_int(i, "i", 0, n)
     if p == 1.0:
         return LogProb.one()  # all n+1 points survive and i <= n
     mode = int((n + 2) * p)
@@ -206,10 +175,9 @@ def pmf_delta(params: ModelParams, delta) -> float:
     are in bijection through d = n * delta.
     """
     d_real = float(delta) * params.n
-    d = round(d_real)
-    if abs(d_real - d) > 1e-9:
+    if not math.isfinite(d_real) or abs(d_real - round(d_real)) > 1e-9:
         raise DomainError(f"delta={delta} is not a multiple of 1/n")
-    return pmf_scaled(params, d)
+    return pmf_scaled(params, round(d_real))
 
 
 @dataclass(frozen=True)
@@ -280,7 +248,7 @@ def spacing_distribution(params: ModelParams) -> DistributionTable:
 
 def cdf_scaled(params: ModelParams, d) -> float:
     """P(spacing <= d grid steps | more than i survivors)."""
-    d = _check_d(params.n, d)
+    d = check_int(d, "d", 1, params.n)
     return float(spacing_distribution(params).cdf[d - 1])
 
 
@@ -295,9 +263,9 @@ def cdf_scaled_closed_i1(n, p, d) -> float:
     Evaluated through log1p/expm1 so that n ~ 1e6 underflows the q**n
     corrections gracefully instead of producing 0/0.
     """
-    n = _check_positive_int(n, "n")
-    p = _check_p(p)
-    d = _check_d(n, d)
+    n = check_int(n, "n", 1)
+    p = check_p(p)
+    d = check_int(d, "d", 1, n)
     if p == 1.0:
         return 1.0  # numerator and denominator both reduce to 1
     log_q = math.log1p(-p)
@@ -307,22 +275,38 @@ def cdf_scaled_closed_i1(n, p, d) -> float:
     return num / den
 
 
-def limit_pmf(p, d) -> float:
-    """Geometric(p) mass p (1-p)**(d-1): the n -> infinity law of spacings."""
-    p = _check_p(p)
-    d = _check_positive_int(d, "d")
-    if p == 1.0:
-        return 1.0 if d == 1 else 0.0
-    return p * math.exp((d - 1) * math.log1p(-p))
+def _limit_steps(d) -> np.ndarray:
+    """d, an int or an integer array of values >= 1, as float64."""
+    if np.ndim(d) == 0:
+        return np.float64(check_int(d, "d", 1))
+    d = np.asarray(d)
+    if d.size and (d.dtype.kind not in "iu" or d.min() < 1):
+        raise DomainError(f"d needs integer values >= 1, got a {d.dtype} array")
+    return d.astype(np.float64)
 
 
-def limit_cdf(p, d) -> float:
-    """Geometric(p) cdf 1 - (1-p)**d."""
-    p = _check_p(p)
-    d = _check_positive_int(d, "d")
+def limit_pmf(p, d):
+    """Geometric(p) mass p (1-p)**(d-1): the n -> infinity law of spacings.
+
+    ``d`` is an int or integer array; the result is a float, or an array of
+    d's shape.
+    """
+    p, x = check_p(p), _limit_steps(d)
     if p == 1.0:
-        return 1.0
-    return -math.expm1(d * math.log1p(-p))
+        out = (x == 1.0).astype(np.float64)
+    else:
+        out = p * np.exp((x - 1.0) * math.log1p(-p))
+    return float(out) if np.ndim(d) == 0 else out
+
+
+def limit_cdf(p, d):
+    """Geometric(p) cdf 1 - (1-p)**d, for an int or integer array ``d``.
+
+    The result is a float, or an array of d's shape.
+    """
+    p, x = check_p(p), _limit_steps(d)
+    out = np.ones_like(x) if p == 1.0 else -np.expm1(x * math.log1p(-p))
+    return float(out) if np.ndim(d) == 0 else out
 
 
 def survivor_index_pmf(n, p, i, j) -> LogProb:
@@ -333,16 +317,9 @@ def survivor_index_pmf(n, p, i, j) -> LogProb:
     j = 0..n together with P(fewer than i survivors) this exhausts all
     outcomes.
     """
-    n = _check_positive_int(n, "n")
-    p = _check_p(p)
-    i = _check_positive_int(i, "i")
-    if i > n:
-        raise DomainError(f"i={i} exceeds n={n}")
-    if j != int(j):
-        raise DomainError(f"j={j} must be an integer")
-    j = int(j)
-    if not 0 <= j <= n:
-        raise DomainError(f"j={j} outside 0..{n}")
+    params = ModelParams(n, p, i)
+    n, p, i = params.n, params.p, params.i
+    j = check_int(j, "j", 0, n)
     if j < i - 1:
         return LogProb.zero()
     log_q = math.log1p(-p) if p < 1.0 else _NEG_INF
@@ -357,8 +334,8 @@ def binomial_sum_stop_index(p, i) -> int:
     closed-form total for any i: the extra 60 nats of geometric decay
     dominate the polynomial binomial factor.
     """
-    p = _check_p(p)
-    i = _check_positive_int(i, "i")
+    p = check_p(p)
+    i = check_int(i, "i", 1)
     if p == 1.0:
         return i
     return i + int(math.ceil(60.0 / -math.log1p(-p)))
@@ -374,11 +351,9 @@ def binomial_sum_partial(p, i, J) -> tuple[float, float]:
     Terms use exact integer binomials accumulated with math.fsum, so the
     partial carries only per-term rounding (~1e-15 relative) and truncation.
     """
-    p = _check_p(p)
-    i = _check_positive_int(i, "i")
-    if J != int(J) or J < 0:
-        raise DomainError(f"J={J} must be a nonnegative integer")
-    J = int(J)
+    p = check_p(p)
+    i = check_int(i, "i", 1)
+    J = check_int(J, "J", 0)
     q = 1.0 - p
     log_q = math.log1p(-p) if p < 1.0 else _NEG_INF
 
@@ -405,13 +380,9 @@ def binomial_cdf_tail_check(n, p, i) -> LogProb:
     to zero as n grows at fixed i and p, which is what makes the conditional
     law approach the geometric limit.
     """
-    n = _check_positive_int(n, "n")
-    p = _check_p(p)
-    if i != int(i):
-        raise DomainError(f"i={i} must be an integer")
-    i = int(i)
-    if not 0 <= i <= n:
-        raise DomainError(f"i={i} outside 0..{n}")
+    n = check_int(n, "n", 1)
+    p = check_p(p)
+    i = check_int(i, "i", 0, n)
     if p == 1.0:
         return LogProb.zero()
     return LogProb(min(_binom_lower_logsum(n, p, i), 0.0))

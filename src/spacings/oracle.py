@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, EnumerationLimitError
+from .errors import DomainError, EnumerationLimitError, check_int
 
 # Exact probabilities are plain stdlib fractions (always in lowest terms).
 Rational = Fraction
@@ -41,18 +41,12 @@ def _as_rational(p) -> Fraction:
 
 
 def _check_args(n, i) -> tuple[int, int]:
-    if n != int(n) or i != int(i):
-        raise DomainError("n and i must be integers")
-    n, i = int(n), int(i)
-    if n < 1:
-        raise DomainError(f"n={n} must be >= 1")
+    n = check_int(n, "n", 1)
     if n > MAX_ENUMERATION_N:
         raise EnumerationLimitError(
             f"n={n} exceeds the enumeration cap of {MAX_ENUMERATION_N}"
         )
-    if not 1 <= i <= n:
-        raise DomainError(f"i={i} outside 1..{n}")
-    return n, i
+    return n, check_int(i, "i", 1, n)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import ModelParams, _check_p, _check_positive_int
-from .errors import DomainError
+from .distribution import ModelParams
+from .errors import DomainError, check_int, check_p
 from .sequences import PointSet
 
 THREADS_ENV = "SPACINGS_THREADS"
@@ -39,15 +39,7 @@ _SUBSET_SIGMAS = 6.0  # sample_subset draws beyond the expected survivor count
 # which below this p happen with probability above exp(-128) per draw.
 _STREAM_P_MIN = 2.0**-56
 _GRID_N_MAX = 2**53 - 2  # grid end positions stay exact in float64
-
-
-def _check_seed(seed) -> int:
-    if seed != int(seed):
-        raise DomainError(f"seed={seed} must be an integer")
-    seed = int(seed)
-    if not 0 <= seed < 1 << 64:
-        raise DomainError(f"seed={seed} outside the unsigned 64-bit range")
-    return seed
+_SEED_MAX = (1 << 64) - 1  # seeds span the unsigned 64-bit range
 
 
 def _resolve_workers(workers) -> int:
@@ -59,10 +51,7 @@ def _resolve_workers(workers) -> int:
             workers = int(env)
         except ValueError as exc:
             raise DomainError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-    workers = int(workers)
-    if workers < 1:
-        raise DomainError(f"worker count {workers} must be >= 1")
-    return workers
+    return check_int(workers, "workers", 1)
 
 
 @dataclass(frozen=True)
@@ -94,8 +83,8 @@ def sample_subset(points: PointSet, p, seed) -> SampleRun:
     Steps are drawn in chunks covering the expected survivors plus a margin;
     the chunking does not change the result, since draws are consumed in order.
     """
-    p = _check_p(p)
-    seed = _check_seed(seed)
+    p = check_p(p)
+    seed = check_int(seed, "seed", 0, _SEED_MAX)
     rng = np.random.default_rng(seed)
     size = len(points)
     pieces = []
@@ -122,7 +111,7 @@ def ith_scaled_spacing(run: SampleRun, i, n) -> int | None:
     Returns None when the run has at most i survivors (the conditioning
     event failed).
     """
-    i, n = _check_positive_int(i, "i"), _check_positive_int(n, "n")
+    i, n = check_int(i, "i", 1), check_int(n, "n", 1)
     if len(run.survivors) <= i:
         return None
     values = run.survivor_values
@@ -175,12 +164,12 @@ def collect_empirical(n, p, i, trials, seed, workers=None) -> EmpiricalDistribut
     hold a fixed number of draws, so the partitioning depends on (trials, i)
     alone and results never depend on the worker count.
     """
-    trials = _check_positive_int(trials, "trials")
+    trials = check_int(trials, "trials", 1)
     params = ModelParams(n, p, i)
     n, p, i = params.n, params.p, params.i
     if n > _GRID_N_MAX:
         raise DomainError(f"n={n} exceeds the sampler's limit 2**53 - 2")
-    seed = _check_seed(seed)
+    seed = check_int(seed, "seed", 0, _SEED_MAX)
     workers = _resolve_workers(workers)
 
     rows_per_block = max(1, _BLOCK_DRAWS // (i + 1))
@@ -207,9 +196,9 @@ def inter_arrival_stream(p, seed, count) -> np.ndarray:
     process's waiting times.  p below 2**-56 is rejected: its gaps would
     overflow int64.
     """
-    p = _check_p(p)
+    p = check_p(p)
     if p < _STREAM_P_MIN:
         raise DomainError(f"p={p} below 2**-56: inter-arrival gaps would overflow int64")
-    seed = _check_seed(seed)
-    count = _check_positive_int(count, "count")
+    seed = check_int(seed, "seed", 0, _SEED_MAX)
+    count = check_int(count, "count", 1)
     return np.random.default_rng(seed).geometric(p, count)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,7 @@ class PointSet:
 
 def grid(n) -> PointSet:
     """The n+1 equally spaced points {0, 1/n, ..., 1}."""
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"grid size n={n} must be an integer >= 1")
-    n = int(n)
+    n = check_int(n, "n", 1)
     return PointSet(np.arange(n + 1) / n, f"grid({n})")
 
 
@@ -53,9 +51,7 @@ def farey_pairs(order) -> list[tuple[int, int]]:
     Uses the standard next-term recurrence: from neighbors a/b < c/d the
     successor is (kc - a)/(kd - b) with k = (order + b) // d.
     """
-    if order != int(order) or int(order) < 1:
-        raise DomainError(f"Farey order Q={order} must be an integer >= 1")
-    q = int(order)
+    q = check_int(order, "Q", 1)
     out = [(0, 1)]
     a, b, c, d = 0, 1, 1, q
     while c <= q:
@@ -78,11 +74,9 @@ def rotation(alpha, count) -> PointSet:
     Irrational alpha never repeats; for rational alpha duplicates are
     dropped, and an exact hit on 0 is kept as a point.
     """
-    if count != int(count) or int(count) < 1:
-        raise DomainError(f"count={count} must be an integer >= 1")
+    count = check_int(count, "count", 1)
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"alpha={alpha} must be finite")
-    count = int(count)
     vals = np.mod(np.arange(1, count + 1) * alpha, 1.0)
     return PointSet(np.unique(vals), f"rotation({alpha!r},{count})")

@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spacings as sp
@@ -181,6 +183,69 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("d_max", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["pmf", "--n", "10", "--p", "0.5", "--i", "1"],
+        ["cdf", "--n", "10", "--p", "0.5", "--i", "1"],
+        ["cdf", "--n", "10", "--p", "0.5", "--i", "1", "--closed-form"],
+        ["limit", "--p", "0.5"],
+        ["sweep", "--p", "0.5", "--i", "1", "--n-list", "10,20"],
+    ])
+    def test_d_max_below_one(self, capsys, argv, d_max):
+        assert run([*argv, "--d-max", d_max]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "d-max" in err.replace("_", "-")
+
+
+@pytest.mark.parametrize("p", ["0.1", "1e-4", "0.9", "1"])
+def test_limit_columns_equal_array_calls(capsys, p):
+    d_max = 3000
+    assert run(["limit", "--p", p, "--d-max", str(d_max)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr()[0].splitlines()))
+    d = np.arange(1, d_max + 1)
+    assert [int(r["d"]) for r in rows] == d.tolist()
+    # 17 significant digits round-trip, so the comparison is exact
+    assert [float(r["limit_pmf"]) for r in rows] == sp.limit_pmf(float(p), d).tolist()
+    assert [float(r["limit_cdf"]) for r in rows] == sp.limit_cdf(float(p), d).tolist()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--n", "40", "--p", "0.3", "--i", "2"],
+    ["cdf", "--n", "40", "--p", "0.3", "--i", "3", "--d-max", "25"],
+    ["cdf", "--n", "40", "--p", "0.3", "--i", "1", "--closed-form"],
+    ["limit", "--p", "1/7", "--d-max", "30"],
+    ["sample", "--n", "60", "--p", "0.2", "--i", "2", "--trials", "500", "--seed", "4"],
+    ["sample", "--n", "1", "--p", "0.01", "--i", "1", "--trials", "5"],
+    ["stream", "--p", "0.3", "--count", "25", "--seed", "2"],
+    ["sweep", "--p", "0.2", "--i", "1", "--n-list", "30,60", "--d-max", "20"],
+    ["oracle", "--n", "5", "--p", "2/7", "--i", "2"],
+    ["seq-sample", "--Q", "30", "--p", "0.5", "--seed", "1"],
+    ["seq-sample", "--alpha", "0.3", "--count", "1", "--p", "1"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_csv_and_json_hold_the_same_table(capsys, argv):
+    assert run([*argv, "--format", "csv"]) == 0
+    csv_out = capsys.readouterr()[0]
+    assert run([*argv, "--format", "json"]) == 0
+    json_out = capsys.readouterr()[0]
+    rows = json.loads(json_out)
+    assert json_out == json.dumps(rows) + "\n"  # the text json.dump writes
+    lines = csv_out.splitlines()
+    if argv[0] == "oracle":
+        assert lines.pop() == "MATCH"  # the verdict trails the CSV table
+        assert all(row.pop("match") for row in rows)
+    if not rows:
+        assert csv_out == ""  # an empty table prints nothing, not even a header
+        return
+    table = list(csv.reader(lines))
+    assert table[0] == list(rows[0])
+    assert len(table) == len(rows) + 1
+    for cells, row in zip(table[1:], rows):
+        for cell, value in zip(cells, row.values()):
+            if isinstance(value, str):
+                assert cell == value
+            else:
+                assert type(value)(cell) == value
 
 
 def test_module_entry_point_runs_the_cli(capsys):

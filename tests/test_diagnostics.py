@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,74 @@ class TestBetweenDistances:
 
     def test_disjoint_supports(self):
         assert sp.tv_between(_emp({1: 5}), _emp({2: 5})) == pytest.approx(1.0)
+
+
+def _dense_masses(emp, dmax):
+    d = np.arange(1, dmax + 1)
+    m = np.zeros(dmax)
+    for val, cnt in emp.counts.items():
+        m[val - 1] = cnt
+    return d, m / m.sum()
+
+
+def _dense_ks_tv_to_geometric(emp, p):
+    """Reference: both distances over every d = 1..max observed."""
+    d, mass = _dense_masses(emp, emp.max_observed)
+    ks = np.abs(np.cumsum(mass) - sp.limit_cdf(p, d)).max()
+    tail = 0.0 if p == 1.0 else math.exp(emp.max_observed * math.log1p(-p))
+    tv = 0.5 * (np.abs(mass - sp.limit_pmf(p, d)).sum() + tail)
+    return ks, min(tv, 1.0)
+
+
+def _dense_between(a, b):
+    dmax = max(a.max_observed, b.max_observed)
+    (_, ma), (_, mb) = _dense_masses(a, dmax), _dense_masses(b, dmax)
+    return np.abs(np.cumsum(ma) - np.cumsum(mb)).max(), 0.5 * np.abs(ma - mb).sum()
+
+
+_GEOMETRIC_CASES = [
+    ({1: 1000}, 0.5),
+    ({1: 42}, 1.0),
+    ({d: 0.1 * 0.9 ** (d - 1) for d in range(1, 301)}, 0.1),
+    ({1: 10}, 0.5),
+    ({2: 3, 5: 1, 40: 2}, 0.1),
+    ({7: 5}, 0.3),
+]
+_BETWEEN_CASES = [
+    ({1: 30, 2: 50, 4: 20}, {1: 25, 2: 60, 3: 15}),
+    ({1: 10, 2: 20}, {1: 100, 2: 200}),
+    ({1: 5}, {2: 5}),
+    ({3: 1, 90: 4}, {50: 2, 60: 2}),
+]
+
+
+class TestSparseAgreesWithDense:
+    @pytest.mark.parametrize("counts, p", _GEOMETRIC_CASES)
+    def test_to_geometric(self, counts, p):
+        report = sp.ks_to_geometric(_emp(counts), p)
+        ks, tv = _dense_ks_tv_to_geometric(_emp(counts), p)
+        assert abs(report.ks - ks) <= 1e-15
+        assert abs(report.tv - tv) <= 1e-15
+
+    @pytest.mark.parametrize("a, b", _BETWEEN_CASES)
+    def test_between(self, a, b):
+        ks, tv = _dense_between(_emp(a), _emp(b))
+        assert abs(sp.ks_between(_emp(a), _emp(b)) - ks) <= 1e-15
+        assert abs(sp.tv_between(_emp(a), _emp(b)) - tv) <= 1e-15
+
+    def test_memory_follows_distinct_values(self):
+        emp = sp.collect_empirical(10**9, 1e-7, 1, 10, 1)
+        assert emp.max_observed > 10**6  # a dense pass would cost megabytes
+        tracemalloc.start()
+        try:
+            report = sp.ks_to_geometric(emp, 1e-7)
+            tv = sp.tv_between(emp, emp)
+            ks = sp.ks_between(emp, emp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert 0.0 < report.ks < 1.0 and tv == ks == 0.0
 
 
 class TestConvergenceSweep:

@@ -223,6 +223,26 @@ class TestLimitLaw:
         with pytest.raises(DomainError):
             sp.limit_cdf(0.5, 0)
 
+    @pytest.mark.parametrize("p", [1e-4, 0.1, 0.37, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("fn", [sp.limit_pmf, sp.limit_cdf])
+    def test_array_equals_scalar_calls(self, fn, p):
+        d = np.arange(1, 20_001)
+        values = fn(p, d)
+        assert isinstance(values, np.ndarray) and values.shape == d.shape
+        scalars = [fn(p, k) for k in d.tolist()]
+        assert all(isinstance(v, float) for v in scalars[:3])
+        assert values.tolist() == scalars  # bit for bit, element by element
+        assert fn(p, d.reshape(100, 200)).tolist() == values.reshape(100, 200).tolist()
+
+    @pytest.mark.parametrize("fn", [sp.limit_pmf, sp.limit_cdf])
+    def test_array_edges(self, fn):
+        for p in (0.3, 1.0):
+            assert fn(p, np.arange(1, 1)).shape == (0,)
+        with pytest.raises(DomainError):
+            fn(0.5, np.array([3, 0, 2]))
+        with pytest.raises(DomainError):
+            fn(0.5, np.array([1.0, 2.5]))
+
 
 class TestSurvivorIndexPmf:
     @pytest.mark.parametrize(
