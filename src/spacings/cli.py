@@ -93,10 +93,9 @@ def _steps(d_max, n=None) -> np.ndarray:
 
 def _cmd_pmf(args) -> int:
     params = ModelParams(args.n, _parse_p(args.p), args.i)
-    table = spacing_distribution(params)
     d = _steps(args.d_max, params.n)
-    _emit({"d": d, "pmf": table.mass[: d.size], "cdf": table.cdf[: d.size],
-           "limit_cdf": limit_cdf(params.p, d)}, args.format)
+    mass, cdf = spacing_distribution(params).head(d.size)
+    _emit({"d": d, "pmf": mass, "cdf": cdf, "limit_cdf": limit_cdf(params.p, d)}, args.format)
     return 0
 
 
@@ -108,7 +107,7 @@ def _cmd_cdf(args) -> int:
     if args.closed_form:
         cdf = [cdf_scaled_closed_i1(params.n, params.p, k) for k in d.tolist()]
     else:
-        cdf = spacing_distribution(params).cdf[: d.size]
+        cdf = spacing_distribution(params).head(d.size)[1]
     _emit({"d": d, "cdf": cdf, "limit_cdf": limit_cdf(params.p, d)}, args.format)
     return 0
 

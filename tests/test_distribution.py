@@ -1,11 +1,19 @@
+import logging
 import math
+import re
+import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import spacings as sp
+from spacings import oracle
+from spacings.cli import run
+from spacings.distribution import _series_stop, _table_masses
 from spacings.errors import DomainError
-from spacings.logprob import LogProb
+from spacings.logprob import LogProb, log_binomial_fixed_k
 
 P_GRID = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 
@@ -331,3 +339,162 @@ def test_monotone_convergence_witness(i):
         limit = -np.expm1(d * math.log1p(-0.1))
         sups.append(float(np.abs(table.cdf[: d.size] - limit).max()))
     assert all(a > b for a, b in zip(sups, sups[1:]))
+
+
+def _full_prefix_masses(n, p, i):
+    """Reference table: survivor-weight prefix over every j = i-1..n-1, O(n)."""
+    log_q = math.log1p(-p)
+    j = np.arange(i - 1, n)
+    lt = log_binomial_fixed_k(j, i - 1) + (j - (i - 1)) * log_q
+    m = float(lt.max())
+    with np.errstate(divide="ignore"):
+        log_s = np.log(np.cumsum(np.exp(lt - m))) + m
+    d = np.arange(1, n - i + 2)
+    log_num = (i + 1) * math.log(p) + (d - 1) * log_q + log_s[(n - d) - (i - 1)]
+    mass = np.zeros(n)
+    mass[: n - i + 1] = np.exp(log_num - sp.size_tail(n, p, i).log)
+    return mass
+
+
+def _tail_below(J, p, i, bits):
+    """Whether P(Binomial(J+1, p) <= i-1) < 2**-bits, exactly, for the float p."""
+    a, b = p.as_integer_ratio()  # b is a power of two
+    N = J + 1
+    num = sum(math.comb(N, k) * a**k * (b - a) ** (N - k) for k in range(i))
+    return num << bits < b**N
+
+
+class TestSurvivorWeightPrefix:
+    @pytest.mark.parametrize("n,p,i", [
+        (25_000, 0.1, 10), (20_000, 0.01, 3), (9_000, 0.5, 40), (50_000, 0.9, 5),
+        (30_000, 0.999, 30), (20_000, 0.05, 150), (60_000, 0.2, 1), (9_000, 0.37, 12),
+    ])
+    def test_truncated_prefix_gives_the_full_table_bit_for_bit(self, n, p, i):
+        params = sp.ModelParams(n, p, i)
+        log_s, _ = _table_masses(params)
+        assert log_s.size < n - i + 1  # the prefix really is truncated here
+        mass = sp.spacing_distribution(params).mass
+        assert mass.tobytes() == _full_prefix_masses(n, p, i).tobytes()
+
+    def test_prefix_is_capped_at_the_grid(self):
+        log_s, _ = _table_masses(sp.ModelParams(30, 0.01, 2))
+        assert log_s.size == 30 - 2 + 1
+
+    @pytest.mark.parametrize("p,i", [(0.5, 100), (0.1, 200), (0.1, 10), (0.2, 3), (0.9, 1)])
+    def test_stop_index_bounds_the_dropped_tail(self, p, i):
+        J = sp.binomial_sum_stop_index(p, i)
+        assert _tail_below(J, p, i, 54)
+        partial, closed = sp.binomial_sum_partial(p, i, J)
+        assert abs(partial - closed) <= 1e-12 * closed
+
+    @pytest.mark.parametrize("p,i", [(0.5, 100), (0.1, 200), (0.1, 10), (0.3, 7)])
+    def test_kernel_stops_at_the_first_converged_index(self, p, i):
+        J = _series_stop(p, i)
+        assert _tail_below(J, p, i, 54)
+        assert not _tail_below(J - 1, p, i, 55)
+
+    def test_partial_sum_overflow_is_inf_like_closed(self):
+        stop = sp.binomial_sum_stop_index(0.1, 1000)
+        assert sp.binomial_sum_partial(0.1, 1000, stop) == (math.inf, math.inf)
+
+    def test_head_matches_full_arrays(self):
+        table = sp.spacing_distribution(sp.ModelParams(5_000, 0.2, 4))
+        mass, cdf = table.head(300)
+        assert mass.tobytes() == table.mass[:300].tobytes()
+        assert cdf.tobytes() == table.cdf[:300].tobytes()
+        assert table.head(0)[0].size == 0
+        with pytest.raises(DomainError):
+            table.head(5_001)
+
+    def test_cdf_scaled_reads_the_running_sum(self):
+        params = sp.ModelParams(2_000, 0.3, 6)
+        cdf = sp.spacing_distribution(params).cdf
+        for d in (1, 17, 1_000, 1_995, 2_000):
+            assert sp.cdf_scaled(params, d) == cdf[d - 1]
+
+
+class TestRelativeAccuracy:
+    """Masses against the closed form in exact rationals, n = 150..400.
+
+    Dyadic p are exact doubles, so both sides see the same p.
+    """
+
+    @pytest.mark.parametrize("n,p,i", [
+        (150, Fraction(5, 16), 5), (200, Fraction(1, 8), 40),
+        (300, Fraction(1, 2), 12), (400, Fraction(7, 8), 20),
+    ])
+    def test_masses_within_5e_13_relative(self, monkeypatch, n, p, i):
+        # the closed form sums, it does not enumerate: lift the enumeration cap
+        monkeypatch.setattr(oracle, "MAX_ENUMERATION_N", n)
+        pf = float(p)
+        exact = oracle.exact_closed_form_pmf(n, p, i)
+        params = sp.ModelParams(n, pf, i)
+        table = sp.spacing_distribution(params)
+        checked = 0
+        for d in range(1, n + 1):
+            got = sp.pmf_scaled(params, d)
+            assert got == table.mass[d - 1]  # one kernel, bit for bit
+            want = float(exact.mass(d))
+            if want >= np.finfo(float).tiny:
+                assert abs(got - want) <= 5e-13 * want, d
+                checked += 1
+            else:
+                assert got < 2 * np.finfo(float).tiny
+        assert checked >= 100
+
+
+class TestBoundedCost:
+    """Calls that return a handful of numbers cost O(J), not O(n)."""
+
+    @staticmethod
+    def _measure(fn):
+        _table_masses.cache_clear()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            result = fn()
+        finally:
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert elapsed < 5.0 and peak < 4 * 2**20, (elapsed, peak)
+        return result
+
+    def test_cli_pmf_at_n_1e12(self, capsys):
+        code = self._measure(lambda: run(["pmf", "--n", str(10**12), "--p", "0.1",
+                                          "--i", "10", "--d-max", "5"]))
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        pmf = [float(r.split(",")[1]) for r in rows]
+        assert pmf == pytest.approx(sp.limit_pmf(0.1, np.arange(1, 6)).tolist(), rel=1e-13)
+
+    def test_convergence_sweep_up_to_1e12(self):
+        result = self._measure(lambda: sp.convergence_sweep(0.1, 5, [50, 10**9, 10**12], 50))
+        assert [n for n, _ in result] == [50, 10**9, 10**12]
+        assert result[-1][1] < 1e-12
+
+    @pytest.mark.parametrize("n,p,i", [(10**12, 1.0, 7), (10**12, 0.5, 10**12), (1, 0.3, 1),
+                                       (10**9, 1.0, 10**9)])
+    def test_domain_edges(self, n, p, i):
+        params = sp.ModelParams(n, p, i)
+        mass, cdf = self._measure(lambda: sp.spacing_distribution(params).head(min(n, 3)))
+        assert mass[0] == 1.0 and cdf[-1] == 1.0
+        assert sp.pmf_scaled(params, 1) == 1.0
+        assert sp.cdf_scaled(params, min(n, 3)) == 1.0
+
+
+def test_debug_log_reports_the_prefix_and_leaves_stdout_alone(capsys, caplog):
+    argv = ["pmf", "--n", "40000", "--p", "0.15", "--i", "6", "--d-max", "40"]
+    _table_masses.cache_clear()
+    assert run(argv) == 0
+    quiet = capsys.readouterr()
+    _table_masses.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="spacings"):
+        assert run(argv) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out and loud.err == quiet.err
+    (record,) = [r for r in caplog.records if r.name == "spacings"]
+    fields = dict(re.findall(r"(J|log dropped tail|log T)=([-+.e\d]+)", record.getMessage()))
+    assert int(fields["J"]) == _series_stop(0.15, 6)
+    assert float(fields["log dropped tail"]) < -54 * math.log(2)
+    assert float(fields["log T"]) == sp.size_tail(40000, 0.15, 6).log
