@@ -17,14 +17,17 @@ the i-th survivor sits at j (a negative-binomial law), so
     S(inf) = p**(-i)   and   1 - S(J) / S(inf) = P(Binomial(J+1, p) <= i-1),
 
 the chance that fewer than i of the first J+1 points survive.  The table
-kernel stops at the first J whose dropped relative tail is below 2**-54.
-Past the peak near j = (i-1)/p the terms decrease, so each later term is
-below that tail, which is below half an ulp of S(J): adding it cannot
-change the running sum, and S(m) = S(J) to the last bit for every m >= J.
-The tests check this against the full O(n) prefix, mass for mass.  J is
-found by bisection on the binomial tail; it is about 37/p at i = 1, 6i/p
-at i = 10 and 1.3i/p at i = 1000, and never above n-1, since S(n-d) is
-only read for n-d <= n-1.
+kernel stops at the first J whose dropped relative tail is below 2**-55.
+Every later term is part of that tail, so it is below 2**-55 S(inf), which
+is below 2**-54 times the computed S(J) and hence below half an ulp of it
+(a double x has ulp(x) > 2**-53 x).  Adding such a term leaves the running
+sum unchanged, and by induction S(m) = S(J) to the last bit for every
+m >= J.  The factor-2 margin covers the rounding of the computed terms and
+of the binomial tail used to find J; the tests also compare the truncated
+prefix with the full O(n) one, mass for mass.  J is found by bisection on
+the binomial tail and cached per (p, i); it is about 38/p at i = 1, 6i/p at
+i = 10 and 1.3i/p at i = 1000, and the kernel reads at most n-1 of it,
+since S(n-d) is only read for n-d <= n-1.
 
 Cost: the kernel caches log S(j) for j = i-1..J and log T, an O(J) state.
 With it, the masses or cdf values of d = 1..k cost O(k), whatever n is
@@ -63,11 +66,9 @@ _LOG = logging.getLogger("spacings")
 # collectively negligible (n * exp(-60) < 1e-19 even at n = 1e6).
 _CUTOFF_NATS = 60.0
 _CHUNK = 4096
-# A relative series tail below 2**-54 is under half an ulp of the sum.
-_LOG_TAIL_BOUND = -54 * math.log(2.0)
-# Prefixes up to this long are built whole: that is about as cheap as
-# searching for J, which takes O(log J) binomial tails.
-_SEARCH_MIN = 4096
+# A relative series tail below 2**-55 leaves every later term under half an
+# ulp of the sum, with a factor 2 to spare for rounding.
+_LOG_TAIL_BOUND = -55 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,14 @@ def _binom_lower_logsum(n: int, p: float, i: int) -> float:
     return m + math.log(float(np.exp(lt - m).sum()))
 
 
-def _series_stop(p: float, i: int, cap: int | None = None) -> int:
-    """First J >= i-1 with P(Binomial(J+1, p) <= i-1) < 2**-54, or cap if smaller.
+@lru_cache(maxsize=256)
+def _series_stop(p: float, i: int) -> int:
+    """First J >= i-1 with P(Binomial(J+1, p) <= i-1) < 2**-55.
 
     That probability is the relative tail of S dropped after j = J (see the
     module docstring); it decreases in J, so a doubling search followed by
-    bisection finds J in O(log J) tail evaluations of O(i) each.  With a cap,
-    a prefix of fewer than max(i, _SEARCH_MIN) terms returns cap unsearched.
+    bisection finds J in O(log J) tail evaluations of O(i) each.  J does not
+    depend on n, so every grid size at one (p, i) shares the search.
     """
     if p == 1.0:
         return i - 1  # only the j = i-1 term is nonzero
@@ -141,8 +143,6 @@ def _series_stop(p: float, i: int, cap: int | None = None) -> int:
     def converged(J: int) -> bool:
         return _binom_lower_logsum(J, p, i - 1) < _LOG_TAIL_BOUND
 
-    if cap is not None and (cap - i < max(i, _SEARCH_MIN) or not converged(cap)):
-        return cap  # nothing to drop, or the full prefix is no dearer than the search
     # the tail at J = i-1 is 1 - p**i >= 1 - p >= 2**-53, so lo never converges
     lo, step = i - 1, math.ceil(i / p)
     while not converged(lo + step):
@@ -158,7 +158,9 @@ def _series_stop(p: float, i: int, cap: int | None = None) -> int:
 def _table_masses(params: ModelParams) -> tuple[np.ndarray, float]:
     """(log S(j) for j = i-1..J, log T): the O(J) state behind every mass."""
     n, p, i = params.n, params.p, params.i
-    stop = _series_stop(p, i, cap=n - 1)
+    # J >= i (the tail at i-1 is 1 - p**i), so when the grid ends by j = i the
+    # whole prefix is read whatever J is, and the O(i)-per-probe search is moot
+    stop = n - 1 if n - 1 <= i else min(_series_stop(p, i), n - 1)
     if p == 1.0:
         log_s = np.zeros(1)  # only j = i-1 carries weight, C(i-1, i-1) = 1
     else:
@@ -406,7 +408,7 @@ def binomial_sum_stop_index(p, i) -> int:
 
     The larger of i + ceil(60 / -log(1-p)) and the table kernel's J, the
     first index whose dropped relative tail P(Binomial(J+1, p) <= i-1) is
-    below 2**-54.  The 60-nat rule alone ignores the negative-binomial mean
+    below 2**-55.  The 60-nat rule alone ignores the negative-binomial mean
     i/p and truncates inside the bulk once i is large; the kernel's J bounds
     the tail for any i.
     """
