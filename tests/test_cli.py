@@ -259,3 +259,36 @@ def test_module_entry_point_runs_the_cli(capsys):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+_IMPORT_GUARD = """
+import runpy, sys
+import spacings.cli
+for argv in ARGVS:
+    sys.argv = ["spacings", *argv]
+    try:
+        runpy.run_module("spacings", run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, (argv, exc.code)
+print(",".join(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))))
+"""
+
+
+def test_no_subcommand_imports_scipy():
+    argvs = [["pmf", "--n", "100", "--p", "0.3", "--i", "2"],
+             ["cdf", "--n", "100", "--p", "0.3", "--i", "2", "--d-max", "5"],
+             ["cdf", "--n", "100", "--p", "0.3", "--i", "1", "--closed-form"],
+             ["limit", "--p", "0.3", "--d-max", "5"],
+             ["sample", "--n", "50", "--p", "0.3", "--i", "1", "--trials", "20"],
+             ["stream", "--p", "0.3", "--count", "5"],
+             ["sweep", "--p", "0.3", "--i", "1", "--n-list", "10,100", "--d-max", "5"],
+             ["oracle", "--n", "6", "--p", "1/3", "--i", "2"],
+             ["seq-sample", "--Q", "8", "--p", "0.5"]]
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"ARGVS = {argvs!r}\n{_IMPORT_GUARD}"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""

@@ -442,6 +442,73 @@ class TestRelativeAccuracy:
                 assert got < 2 * np.finfo(float).tiny
         assert checked >= 100
 
+    @pytest.mark.parametrize("n,p,i", [
+        (400, Fraction(1, 2), 100), (400, Fraction(7, 8), 150), (300, Fraction(1, 4), 70),
+    ])
+    def test_stirling_fallback_within_5e_13_relative(self, monkeypatch, n, p, i):
+        # i - 1 > 64: the survivor weights take log C(j, i-1) from the Stirling form
+        self.test_masses_within_5e_13_relative(monkeypatch, n, p, i)
+
+
+class TestLogTAtLargeN:
+    """log T against a reference built from exact binomial coefficients."""
+
+    @staticmethod
+    def _reference(n, p, i):
+        lower = math.fsum(math.exp(math.log(math.comb(n + 1, k)) + k * math.log(p)
+                                   + (n + 1 - k) * math.log1p(-p)) for k in range(i + 1))
+        return math.log1p(-lower)
+
+    @pytest.mark.parametrize("n,p,i", [(10**12, 1e-11, 10), (10**9, 1e-8, 10),
+                                       (10**6, 1e-5, 10)])
+    def test_size_tail_within_1e_12(self, n, p, i):
+        assert abs(sp.size_tail(n, p, i).log - self._reference(n, p, i)) <= 1e-12
+
+    def test_n_1e12_value(self):
+        assert abs(sp.size_tail(10**12, 1e-11, 10).log - -0.874764385927778) <= 1e-12
+
+
+class TestTailEdges:
+    """size_tail and binomial_cdf_tail_check at n = 1, i = n and p = 1, in bounded time."""
+
+    @pytest.mark.parametrize("n,p,i", [
+        (1, 0.3, 1), (1, 0.3, 0), (1, 1.0, 1), (7, 0.4, 7), (10**6, 1 - 1e-7, 10**6),
+        (10**12, 0.5, 10**12), (10**12, 1 - 1e-12, 10**12), (10**12, 1e-12, 10**12),
+        (10**12, 1.0, 10**12), (10**12, 1e-12, 1),
+    ])
+    def test_finite_consistent_and_fast(self, n, p, i):
+        start = time.perf_counter()
+        upper, lower = sp.size_tail(n, p, i).log, sp.binomial_cdf_tail_check(n, p, i).log
+        assert time.perf_counter() - start < 2.0
+        assert not math.isnan(upper) and not math.isnan(lower)
+        assert upper <= 0.0 and lower <= 0.0
+        assert math.exp(upper) + math.exp(lower) == pytest.approx(1.0, rel=1e-12)
+        if i == n and p < 1.0:  # only "all n+1 survive" is above i
+            want = (n + 1) * math.log(p)
+            assert upper == pytest.approx(want, rel=1e-12)
+            assert lower == pytest.approx(math.log1p(-math.exp(want)), rel=1e-12, abs=1e-300)
+
+    def test_n_1_values(self):
+        assert sp.size_tail(1, 0.3, 1).prob == pytest.approx(0.09, rel=1e-14)
+        assert sp.binomial_cdf_tail_check(1, 0.3, 1).prob == pytest.approx(0.91, rel=1e-14)
+        assert sp.size_tail(1, 0.3, 0).prob == pytest.approx(0.51, rel=1e-14)
+        assert sp.binomial_cdf_tail_check(1, 0.3, 0).prob == pytest.approx(0.49, rel=1e-14)
+
+    def test_p_one(self):
+        assert sp.size_tail(1, 1.0, 1).log == 0.0
+        assert sp.binomial_cdf_tail_check(1, 1.0, 1).is_zero
+
+    def test_lower_tail_near_the_mode_is_summed_from_i_down(self):
+        # i just below the mode at n = 10**12: O(sd) terms, not O(i)
+        n, p = 10**12, 1e-6
+        i = int((n + 2) * p) - 1000
+        start = time.perf_counter()
+        upper = sp.size_tail(n, p, i).log
+        lower = sp.binomial_cdf_tail_check(n, p, i).log
+        assert time.perf_counter() - start < 2.0
+        assert math.exp(upper) + math.exp(lower) == pytest.approx(1.0, rel=1e-12)
+        assert 0.1 < math.exp(lower) < 0.5
+
 
 class TestBoundedCost:
     """Calls that return a handful of numbers cost O(J), not O(n)."""
