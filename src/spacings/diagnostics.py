@@ -107,8 +107,8 @@ def convergence_sweep(p, i, n_list, d_max) -> list[tuple[int, float]]:
     """Exact sup_{d <= d_max} |cdf - geometric limit| for each grid size.
 
     No sampling is involved: each distance is computed from the first d_max
-    values of the exact conditional cdf, in O(d_max + J) per n.  Output is
-    ordered by n.
+    values of the exact conditional cdf, in O(d_max + min(i, sd)) per block
+    of 4096 steps, whatever n is.  Output is ordered by n.
     """
     p = check_p(p)
     i = check_int(i, "i", 1)

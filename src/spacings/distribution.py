@@ -11,41 +11,39 @@ where S(m) = sum_{j=i-1..m} C(j, i-1) q**(j-i+1), q = 1-p, accumulates the
 possible positions j of the i-th survivor.  As n grows this law converges
 to the geometric distribution with parameter p.
 
-The survivor weights converge: p**i C(j, i-1) q**(j-i+1) is the chance that
-the i-th survivor sits at j (a negative-binomial law), so
+The survivor weights form a negative-binomial law (p**i C(j, i-1)
+q**(j-i+1) is the chance that the i-th survivor sits at j), so
+p**i S(m) = U(m+1) with U(M) = P(Binomial(M, p) >= i), and
 
-    S(inf) = p**(-i)   and   1 - S(J) / S(inf) = P(Binomial(J+1, p) <= i-1),
+    f(d) = p q**(d-1) U(n-d+1) / T.
 
-the chance that fewer than i of the first J+1 points survive.  The table
-kernel stops at the first J whose dropped relative tail is below 2**-55.
-Every later term is part of that tail, so it is below 2**-55 S(inf), which
-is below 2**-54 times the computed S(J) and hence below half an ulp of it
-(a double x has ulp(x) > 2**-53 x).  Adding such a term leaves the running
-sum unchanged, and by induction S(m) = S(J) to the last bit for every
-m >= J.  The factor-2 margin covers the rounding of the computed terms and
-of the binomial tail used to find J; the tests also compare the truncated
-prefix with the full O(n) one, mass for mass.  J is found by bisection on
-the binomial tail and cached per (p, i); it is about 38/p at i = 1, 6i/p at
-i = 10 and 1.3i/p at i = 1000, and the kernel reads at most n-1 of it,
-since S(n-d) is only read for n-d <= n-1.
+The kernel evaluates it in blocks of 4096 steps d: one anchor tail U at the
+block's largest d, from the binomial-tail sum behind T (``_binom_tails``),
+then positive additions only toward smaller d,
+U(M+1) = U(M) + p P(Binomial(M, p) = i-1).  Nothing cancels, and a mass
+depends on (n, p, i, d) alone, whichever call asks for it.
 
-Cost: the kernel caches log S(j) for j = i-1..J and log T, an O(J) state.
-With it, the masses or cdf values of d = 1..k cost O(k), whatever n is
-(``DistributionTable.head``, ``cdf_scaled``, ``pmf_scaled``); only the
-full ``mass``/``cdf`` arrays are O(n).
+Cost: log T is cached per parameter triple and the masses per (triple,
+block).  The masses or cdf values of d = 1..k cost O(k + min(i, sd)) per
+block touched, sd the binomial standard deviation, whatever n and p are
+(``DistributionTable.head``, ``cdf_scaled``, ``pmf_scaled``); only the full
+``mass``/``cdf`` arrays are O(n).
 
 Accuracy: masses agree with the closed form in exact rationals to 5e-13
 relative wherever they are normal doubles (tested at n = 150..400, i <= 150,
-including i - 1 > 64 where log C(j, i-1) takes the Stirling form).  log T
+including i - 1 > 64 where log C(j, i-1) takes the Stirling form).  A mass
+is exp of a difference of logs as large as L = (i+1)|log p| + n|log q|
+nats, and a double near L resolves only about 1e-16 L, so past L = 250 the
+bound is 2e-15 L (tested over any float p, n <= 400).  log T
 comes from binomial terms of :func:`spacings.logprob.log_binom_pmf`, each
 within 4e-15 (1 + |log term|) of exact, so it is accurate at n up to 10**12:
 within 1e-12 of an exact-coefficient reference at (10**12, 1e-11, 10),
 (10**9, 1e-8, 10) and (10**6, 1e-5, 10) (tested).  The smaller binomial tail
 is summed from i outward with a 60-nat cut-off, O(min(i, sd)) terms.
 Everything is evaluated in log domain (see :mod:`spacings.logprob`) so that
-large grids neither underflow nor lose normalization.  Each kernel build
-logs J, the dropped tail and log T at DEBUG level to the ``spacings``
-logger, which is silent unless configured.
+large grids neither underflow nor lose normalization.  Each parameter
+triple logs its log T at DEBUG level to the ``spacings`` logger, which is
+silent unless configured.
 """
 
 from __future__ import annotations
@@ -71,6 +69,7 @@ _LOG = logging.getLogger("spacings")
 # Terms this many nats below the running maximum of a unimodal sum are
 # collectively negligible (n * exp(-60) < 1e-19 even at n = 1e6).
 _CUTOFF_NATS = 60.0
+# Indices per numpy call: one chunk of a tail sum, one block of masses.
 _CHUNK = 4096
 # A relative series tail below 2**-55 leaves every later term under half an
 # ulp of the sum, with a factor 2 to spare for rounding.
@@ -102,12 +101,10 @@ def _logsumexp_unimodal(logterm, lo: int, hi: int, descending: bool = False) -> 
     ``descending``), and stops once a chunk sits more than _CUTOFF_NATS below
     the running maximum.  In a unimodal sequence such a chunk is past the
     peak, so every later term is smaller still and the dropped tail is
-    negligible relative to the total.
+    negligible relative to the total.  The sum runs relative to the running
+    maximum and is rescaled when a chunk raises it, so memory is O(_CHUNK).
     """
-    if lo > hi:
-        return _NEG_INF
-    chunks = []
-    gmax = _NEG_INF
+    acc, gmax = 0.0, _NEG_INF
     while lo <= hi:
         if descending:
             a, b = max(lo, hi + 1 - _CHUNK), hi + 1
@@ -116,18 +113,14 @@ def _logsumexp_unimodal(logterm, lo: int, hi: int, descending: bool = False) -> 
             a, b = lo, min(lo + _CHUNK, hi + 1)
             lo = b
         lt = logterm(np.arange(a, b))
-        chunks.append(lt)
         m = float(lt.max())
         if m > gmax:
-            gmax = m
+            acc, gmax = acc * math.exp(gmax - m), m
+        if m > _NEG_INF:
+            acc += float(np.exp(lt - gmax).sum())
         if m < gmax - _CUTOFF_NATS:
             break
-    if gmax == _NEG_INF:
-        return _NEG_INF
-    acc = 0.0
-    for lt in chunks:
-        acc += float(np.exp(lt - gmax).sum())
-    return gmax + math.log(acc)
+    return gmax + math.log(acc) if gmax > _NEG_INF else _NEG_INF
 
 
 def _binom_lower_logsum(n: int, p: float, i: int) -> float:
@@ -153,18 +146,13 @@ def _binom_tails(n: int, p: float, i: int) -> tuple[float, float]:
     return math.log1p(-math.exp(up)), up
 
 
-@lru_cache(maxsize=256)
 def _series_stop(p: float, i: int) -> int:
-    """First J >= i-1 with P(Binomial(J+1, p) <= i-1) < 2**-55.
+    """First J >= i-1 with P(Binomial(J+1, p) <= i-1) < 2**-55, for p < 1.
 
-    That probability is the relative tail of S dropped after j = J (see the
-    module docstring); it decreases in J, so a doubling search followed by
+    That probability is the relative tail of the survivor-weight series
+    dropped after j = J; it decreases in J, so a doubling search followed by
     bisection finds J in O(log J) tail evaluations of at most O(i) each.
-    J does not depend on n, so every grid size at one (p, i) shares the search.
     """
-    if p == 1.0:
-        return i - 1  # only the j = i-1 term is nonzero
-
     def converged(J: int) -> bool:
         return _binom_lower_logsum(J, p, i - 1) < _LOG_TAIL_BOUND
 
@@ -180,46 +168,53 @@ def _series_stop(p: float, i: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _table_masses(params: ModelParams) -> tuple[np.ndarray, float]:
-    """(log S(j) for j = i-1..J, log T): the O(J) state behind every mass."""
+def _table_masses(params: ModelParams) -> float:
+    """log T, the per-triple state shared by every block of masses."""
+    log_t = size_tail(params.n, params.p, params.i).log
+    _LOG.debug("exact law n=%d p=%r i=%d: log T=%.17g", params.n, params.p, params.i, log_t)
+    return log_t
+
+
+@lru_cache(maxsize=128)
+def _block_log_numerators(params: ModelParams, block: int) -> np.ndarray:
+    """log p q**(d-1) U(n-d+1) for the steps d of one block; -inf past n-i+1.
+
+    Block b holds d = b*_CHUNK+1 .. (b+1)*_CHUNK, cut at n.  U at its last
+    nonzero d is one binomial tail; every smaller d adds the terms
+    p P(Binomial(M, p) = i-1) = C(M, i-1) p**i q**(M-i+1) to it.
+    """
     n, p, i = params.n, params.p, params.i
-    # J >= i (the tail at i-1 is 1 - p**i), so when the grid ends by j = i the
-    # whole prefix is read whatever J is, and the O(i)-per-probe search is moot
-    stop = n - 1 if n - 1 <= i else min(_series_stop(p, i), n - 1)
-    if p == 1.0:
-        log_s = np.zeros(1)  # only j = i-1 carries weight, C(i-1, i-1) = 1
-    else:
-        log_q = math.log1p(-p)
-        j = np.arange(i - 1, stop + 1)
-        lt = log_binomial_fixed_k(j, i - 1) + (j - (i - 1)) * log_q
-        m = float(lt.max())
-        with np.errstate(divide="ignore"):
-            log_s = np.log(np.cumsum(np.exp(lt - m))) + m
-    log_s.flags.writeable = False
-    log_t = size_tail(n, p, i).log
-    if _LOG.isEnabledFor(logging.DEBUG):
-        converged = stop < n - 1 and p < 1.0
-        dropped = _binom_lower_logsum(stop, p, i - 1) if converged else _NEG_INF
-        _LOG.debug("survivor-weight prefix n=%d p=%r i=%d: J=%d, log dropped tail=%.6g, "
-                   "log T=%.17g", n, p, i, stop, dropped, log_t)
-    return log_s, log_t
-
-
-def _log_numerators(params: ModelParams, log_s: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """log p**(i+1) q**(d-1) S(n-d) for steps d in 1..n-i+1, S read from the prefix."""
-    n, p, i = params.n, params.p, params.i
-    log_q = math.log1p(-p) if p < 1.0 else _NEG_INF
-    k = np.minimum(n - d - (i - 1), log_s.size - 1)
-    return (i + 1) * math.log(p) + log_pow(log_q, d - 1) + log_s[k]
-
-
-def _masses(params: ModelParams, d: np.ndarray) -> np.ndarray:
-    """Conditional masses at an int array of steps d in 1..n; zero past n-i+1."""
-    log_s, log_t = _table_masses(params)
-    out = np.zeros(d.shape)
-    live = d <= params.n - params.i + 1
-    out[live] = np.exp(_log_numerators(params, log_s, d[live]) - log_t)
+    first = block * _CHUNK + 1
+    out = np.full(min(_CHUNK, n - first + 1), _NEG_INF)
+    last = min(first + out.size - 1, n - i + 1)
+    if last >= first:
+        log_q = math.log1p(-p) if p < 1.0 else _NEG_INF
+        m0 = n - last + 1  # U(m0) is the anchor, at d = last
+        m = np.arange(m0, n - first + 1)
+        terms = i * math.log(p) + log_binomial_fixed_k(m, i - 1) + (m - (i - 1)) * log_q
+        anchor = 0.0 if p == 1.0 else _binom_tails(m0 - 1, p, i - 1)[1]
+        lt = np.concatenate(([anchor], terms))
+        top = float(lt.max())
+        log_u = np.log(np.cumsum(np.exp(lt - top))) + top  # U(m0) .. U(n-first+1)
+        d = np.arange(first, last + 1)
+        out[: d.size] = math.log(p) + log_pow(log_q, d - 1) + log_u[::-1]
+    out.flags.writeable = False
     return out
+
+
+def _log_numerators(params: ModelParams, lo: int, hi: int) -> np.ndarray:
+    """log p q**(d-1) U(n-d+1) for d = lo..hi, read from the cached blocks."""
+    if hi < lo:
+        return np.empty(0)
+    first = (lo - 1) // _CHUNK
+    blocks = [_block_log_numerators(params, b) for b in range(first, (hi - 1) // _CHUNK + 1)]
+    start = lo - 1 - first * _CHUNK
+    return np.concatenate(blocks)[start : start + hi - lo + 1]
+
+
+def _masses(params: ModelParams, lo: int, hi: int) -> np.ndarray:
+    """Conditional masses of the steps d = lo..hi; zero past n-i+1."""
+    return np.exp(_log_numerators(params, lo, hi) - _table_masses(params))
 
 
 def unconditional_spacing_prob(params: ModelParams, d) -> LogProb:
@@ -231,10 +226,7 @@ def unconditional_spacing_prob(params: ModelParams, d) -> LogProb:
     survivors, d > n-i+1) give exact probability zero.
     """
     d = check_int(d, "d", 1, params.n)
-    if d > params.n - params.i + 1:
-        return LogProb.zero()
-    log_s, _ = _table_masses(params)
-    return LogProb(float(_log_numerators(params, log_s, np.array([d]))[0]))
+    return LogProb(float(_log_numerators(params, d, d)[0]))
 
 
 def size_tail(n, p, i) -> LogProb:
@@ -255,20 +247,22 @@ def pmf_scaled(params: ModelParams, d) -> float:
     """Conditional mass of a spacing of d grid steps, given > i survivors.
 
     Bit-equal to ``spacing_distribution(params).mass[d - 1]``: both read the
-    same cached survivor-weight prefix.
+    same cached block.
     """
     d = check_int(d, "d", 1, params.n)
-    return float(_masses(params, np.array([d]))[0])
+    return float(_masses(params, d, d)[0])
 
 
 def pmf_delta(params: ModelParams, delta) -> float:
     """Same mass addressed by the unscaled gap length delta = d/n.
 
     Rejects delta whose product with n is not an integer: the two supports
-    are in bijection through d = n * delta.
+    are in bijection through d = n * delta.  n * (d/n) is within 2 ulp of d,
+    so the tolerance grows with the ulp of n * delta.
     """
     d_real = float(delta) * params.n
-    if not math.isfinite(d_real) or abs(d_real - round(d_real)) > 1e-9:
+    tol = max(1e-9, 4 * math.ulp(d_real))
+    if not math.isfinite(d_real) or abs(d_real - round(d_real)) > tol:
         raise DomainError(f"delta={delta} is not a multiple of 1/n")
     return pmf_scaled(params, round(d_real))
 
@@ -277,9 +271,9 @@ def pmf_delta(params: ModelParams, delta) -> float:
 class DistributionTable:
     """Conditional pmf over d = 1..n for one parameter triple.
 
-    Masses come from the cached O(J) survivor-weight prefix.  ``head(k)``
-    returns the first k masses and cdf values in O(k + J); the full ``mass``
-    and ``cdf`` arrays (read-only) are built on first access only.
+    Masses come from cached blocks of 4096 steps.  ``head(k)`` returns the
+    first k masses and cdf values in O(k + min(i, sd)) per block touched; the
+    full ``mass`` and ``cdf`` arrays (read-only) are built on first access only.
     """
 
     params: ModelParams
@@ -291,12 +285,12 @@ class DistributionTable:
     def head(self, k) -> tuple[np.ndarray, np.ndarray]:
         """Masses and cdf values for d = 1..k."""
         k = check_int(k, "k", 0, self.params.n)
-        mass = _masses(self.params, np.arange(1, k + 1))
+        mass = _masses(self.params, 1, k)
         return mass, np.cumsum(mass)
 
     @cached_property
     def mass(self) -> np.ndarray:
-        out = _masses(self.params, self.d)
+        out = _masses(self.params, 1, self.params.n)
         out.flags.writeable = False
         return out
 
@@ -326,15 +320,19 @@ class DistributionTable:
 def spacing_distribution(params: ModelParams) -> DistributionTable:
     """The conditional pmf for every d = 1..n, as a lazy table.
 
-    Builds (or takes from the cache) the survivor-weight prefix shared by
-    every d; no n-length array is allocated until ``mass`` or ``cdf`` is read.
+    Builds (or takes from the cache) the normalizer log T shared by every d;
+    no n-length array is allocated until ``mass`` or ``cdf`` is read.
     """
     _table_masses(params)
     return DistributionTable(params)
 
 
 def cdf_scaled(params: ModelParams, d) -> float:
-    """P(spacing <= d grid steps | more than i survivors), in O(d + J)."""
+    """P(spacing <= d grid steps | more than i survivors).
+
+    The running sum of the first d masses, in O(d + min(i, sd)) per block of
+    4096 steps.
+    """
     d = check_int(d, "d", 1, params.n)
     return float(spacing_distribution(params).head(d)[1][-1])
 
@@ -417,11 +415,11 @@ def survivor_index_pmf(n, p, i, j) -> LogProb:
 def binomial_sum_stop_index(p, i) -> int:
     """Truncation point past which the survivor-weight series has converged.
 
-    The larger of i + ceil(60 / -log(1-p)) and the table kernel's J, the
-    first index whose dropped relative tail P(Binomial(J+1, p) <= i-1) is
-    below 2**-55.  The 60-nat rule alone ignores the negative-binomial mean
-    i/p and truncates inside the bulk once i is large; the kernel's J bounds
-    the tail for any i.
+    The larger of i + ceil(60 / -log(1-p)) and the first index J whose
+    dropped relative tail P(Binomial(J+1, p) <= i-1) is below 2**-55, found
+    by a search of O(log J) binomial tails.  The 60-nat rule alone ignores
+    the negative-binomial mean i/p and truncates inside the bulk once i is
+    large; J bounds the tail for any i.  The exact law does not use it.
     """
     p = check_p(p)
     i = check_int(i, "i", 1)

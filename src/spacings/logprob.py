@@ -235,8 +235,8 @@ def log_binomial_fixed_k(j, k: int) -> float | np.ndarray:
     """log of binomial(j, k) for a fixed small k, as an exact product.
 
     Writing C(j, k) = prod_{t=1..k} (j - k + t) / t keeps the absolute error
-    of the log near k ulp; the survivor-weight prefix relies on these exact
-    bits.  Falls back to the Stirling form of :func:`log_binomial` for
+    of the log near k ulp; the exact law builds its survivor-weight terms
+    from it.  Falls back to the Stirling form of :func:`log_binomial` for
     k > 64, where the product form stops being cheap.
     """
     if k > 64:

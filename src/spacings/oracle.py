@@ -107,18 +107,30 @@ def enumerate_conditional_pmf(n, p, i) -> ExactTable:
 
 
 def exact_closed_form_pmf(n, p, i) -> ExactTable:
-    """The closed-form spacing pmf evaluated in exact rational arithmetic."""
+    """The closed-form spacing pmf evaluated in exact rational arithmetic.
+
+    With p = a/b in lowest terms and c = b - a, every term of the formula is
+    an integer over a power of b, and the powers cancel:
+
+        f(d) = a**(i+1) c**(d-1) s(n-d) / D,
+
+    where s(m) = b s(m-1) + C(m, i-1) c**(m-i+1) is S(m) b**(m-i+1) and
+    D = b**(n+1) - sum_{k<=i} C(n+1, k) a**k c**(n+1-k) is T b**(n+1).  So
+    the table costs O(n) integer operations and one reduction per mass.
+    """
     n, i = _check_args(n, i)
     p = _as_rational(p)
-    q = 1 - p
-    denom = 1 - sum(
-        Fraction(math.comb(n + 1, k)) * p**k * q ** (n + 1 - k) for k in range(i + 1)
-    )
+    a, b = p.numerator, p.denominator
+    c = b - a
+    denom = b ** (n + 1) - sum(math.comb(n + 1, k) * a**k * c ** (n + 1 - k) for k in range(i + 1))
+    s = [0] * n  # s(m) = 0 for m < i-1: an empty sum
+    acc = 0
+    for m in range(i - 1, n):
+        acc = b * acc + math.comb(m, i - 1) * c ** (m - i + 1)
+        s[m] = acc
     masses = {}
+    scale = a ** (i + 1)  # a**(i+1) c**(d-1)
     for d in range(1, n + 1):
-        s = sum(
-            Fraction(math.comb(j, i - 1)) * q ** (j - i + 1)
-            for j in range(i - 1, n - d + 1)
-        )
-        masses[d] = p ** (i + 1) * q ** (d - 1) * s / denom
+        masses[d] = Fraction(scale * s[n - d], denom)
+        scale *= c
     return ExactTable(n, p, i, masses)

@@ -7,13 +7,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spacings as sp
 from spacings import oracle
 from spacings.cli import run
-from spacings.distribution import _series_stop, _table_masses
+from spacings.distribution import (
+    _block_log_numerators,
+    _logsumexp_unimodal,
+    _series_stop,
+    _table_masses,
+)
 from spacings.errors import DomainError
-from spacings.logprob import LogProb, log_binomial_fixed_k
+from spacings.logprob import LogProb
 
 P_GRID = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 
@@ -160,6 +167,16 @@ class TestPmfScaled:
         assert sp.pmf_delta(params, 1.0) == pytest.approx(0.25, rel=1e-13)
         with pytest.raises(DomainError):
             sp.pmf_delta(params, 0.3)
+
+    def test_delta_addressing_at_n_1e12(self):
+        # n * (d / n) is off from d by more than 1e-9 for some d at this n
+        n = 10**12
+        params = sp.ModelParams(n, 1e-11, 3)
+        rng = np.random.default_rng(7)
+        for d in rng.integers(1, n + 1, 200).tolist():
+            assert sp.pmf_delta(params, d / n) == sp.pmf_scaled(params, d)
+        with pytest.raises(DomainError):
+            sp.pmf_delta(params, 1234567.5 / n)
 
 
 class TestDistributionTable:
@@ -341,21 +358,6 @@ def test_monotone_convergence_witness(i):
     assert all(a > b for a, b in zip(sups, sups[1:]))
 
 
-def _full_prefix_masses(n, p, i):
-    """Reference table: survivor-weight prefix over every j = i-1..n-1, O(n)."""
-    log_q = math.log1p(-p)
-    j = np.arange(i - 1, n)
-    lt = log_binomial_fixed_k(j, i - 1) + (j - (i - 1)) * log_q
-    m = float(lt.max())
-    with np.errstate(divide="ignore"):
-        log_s = np.log(np.cumsum(np.exp(lt - m))) + m
-    d = np.arange(1, n - i + 2)
-    log_num = (i + 1) * math.log(p) + (d - 1) * log_q + log_s[(n - d) - (i - 1)]
-    mass = np.zeros(n)
-    mass[: n - i + 1] = np.exp(log_num - sp.size_tail(n, p, i).log)
-    return mass
-
-
 def _tail_below(J, p, i, bits):
     """Whether P(Binomial(J+1, p) <= i-1) < 2**-bits, exactly, for the float p."""
     a, b = p.as_integer_ratio()  # b is a power of two
@@ -365,21 +367,6 @@ def _tail_below(J, p, i, bits):
 
 
 class TestSurvivorWeightPrefix:
-    @pytest.mark.parametrize("n,p,i", [
-        (25_000, 0.1, 10), (20_000, 0.01, 3), (9_000, 0.5, 40), (50_000, 0.9, 5),
-        (30_000, 0.999, 30), (20_000, 0.05, 150), (60_000, 0.2, 1), (9_000, 0.37, 12),
-    ])
-    def test_truncated_prefix_gives_the_full_table_bit_for_bit(self, n, p, i):
-        params = sp.ModelParams(n, p, i)
-        log_s, _ = _table_masses(params)
-        assert log_s.size < n - i + 1  # the prefix really is truncated here
-        mass = sp.spacing_distribution(params).mass
-        assert mass.tobytes() == _full_prefix_masses(n, p, i).tobytes()
-
-    def test_prefix_is_capped_at_the_grid(self):
-        log_s, _ = _table_masses(sp.ModelParams(30, 0.01, 2))
-        assert log_s.size == 30 - 2 + 1
-
     @pytest.mark.parametrize("p,i", [(0.5, 100), (0.1, 200), (0.1, 10), (0.2, 3), (0.9, 1)])
     def test_stop_index_bounds_the_dropped_tail(self, p, i):
         J = sp.binomial_sum_stop_index(p, i)
@@ -411,6 +398,23 @@ class TestSurvivorWeightPrefix:
         cdf = sp.spacing_distribution(params).cdf
         for d in (1, 17, 1_000, 1_995, 2_000):
             assert sp.cdf_scaled(params, d) == cdf[d - 1]
+
+    def test_masses_are_bit_stable_and_exact_across_block_seams(self):
+        # blocks of 4096 steps each take their own anchor tail
+        n, p, i = 10_000, Fraction(1, 1024), 2
+        params = sp.ModelParams(n, float(p), i)
+        table = sp.spacing_distribution(params)
+        mass, cdf = table.head(8_193)
+        assert mass.tobytes() == table.mass[:8_193].tobytes()
+        assert cdf.tobytes() == table.cdf[:8_193].tobytes()
+        q = 1 - p
+        T = 1 - q ** (n + 1) - (n + 1) * p * q**n - (n + 1) * n // 2 * p**2 * q ** (n - 1)
+        for d in (1, 4_095, 4_096, 4_097, 8_192, 8_193, 9_999):
+            M = n - d + 1  # f(d) = p q**(d-1) P(Bin(M, p) >= 2) / T
+            want = float(p * q ** (d - 1) * (1 - q**M - M * p * q ** (M - 1)) / T)
+            got = sp.pmf_scaled(params, d)
+            assert got == table.mass[d - 1]
+            assert abs(got - want) <= 5e-13 * want, (d, got, want)
 
 
 class TestRelativeAccuracy:
@@ -448,6 +452,35 @@ class TestRelativeAccuracy:
     def test_stirling_fallback_within_5e_13_relative(self, monkeypatch, n, p, i):
         # i - 1 > 64: the survivor weights take log C(j, i-1) from the Stirling form
         self.test_masses_within_5e_13_relative(monkeypatch, n, p, i)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(ni=st.integers(1, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       p=st.floats(0.0, 1.0, exclude_min=True))
+def test_law_matches_exact_rationals_for_any_float_p(ni, p):
+    n, i = ni
+    exact_p = Fraction(p)
+    # the exact table costs O(n) reductions of (n * log2(denominator))-bit integers
+    if n * exact_p.denominator.bit_length() > 40_000:
+        n = max(1, 40_000 // exact_p.denominator.bit_length())
+        i = min(i, n)
+    saved, oracle.MAX_ENUMERATION_N = oracle.MAX_ENUMERATION_N, n
+    try:
+        exact = oracle.exact_closed_form_pmf(n, exact_p, i)
+    finally:
+        oracle.MAX_ENUMERATION_N = saved
+    mass, cdf = sp.spacing_distribution(sp.ModelParams(n, p, i)).head(n)
+    # The law is exp of a difference of logs as large as L nats, and a double
+    # near L is only good to about 1e-16 L: 5e-13 relative holds to L = 250.
+    size = (i + 1) * -math.log(p) - (n * math.log1p(-p) if p < 1.0 else 0.0)
+    tol = max(5e-13, 2e-15 * size)
+    tiny = np.finfo(float).tiny
+    running = Fraction(0)
+    for d in range(1, n + 1):
+        running += exact.mass(d)
+        for got, want in ((mass[d - 1], float(exact.mass(d))), (cdf[d - 1], float(running))):
+            if want >= tiny:
+                assert abs(got - want) <= tol * want, (d, got, want)
 
 
 class TestLogTAtLargeN:
@@ -498,6 +531,25 @@ class TestTailEdges:
         assert sp.size_tail(1, 1.0, 1).log == 0.0
         assert sp.binomial_cdf_tail_check(1, 1.0, 1).is_zero
 
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_running_sum_rescales_when_a_later_chunk_raises_the_maximum(self, descending):
+        # the peak sits chunks away from where the scan starts, in either direction
+        def logterm(k):
+            return -0.5 * ((k - 12_345) / 700.0) ** 2
+
+        lt = logterm(np.arange(20_001))
+        want = float(lt.max() + np.log(np.exp(lt - lt.max()).sum()))
+        assert _logsumexp_unimodal(logterm, 0, 20_000, descending) == pytest.approx(want, rel=1e-14)
+
+    def test_running_sum_skips_chunks_of_impossible_terms(self):
+        def logterm(k):
+            return np.where(k < 5_000, -np.inf, -1e-3 * k)
+
+        lt = -1e-3 * np.arange(5_000, 10_000)
+        want = float(lt.max() + np.log(np.exp(lt - lt.max()).sum()))
+        assert _logsumexp_unimodal(logterm, 0, 9_999) == pytest.approx(want, rel=1e-14)
+        assert _logsumexp_unimodal(lambda k: np.full(k.size, -np.inf), 0, 9) == -math.inf
+
     def test_lower_tail_near_the_mode_is_summed_from_i_down(self):
         # i just below the mode at n = 10**12: O(sd) terms, not O(i)
         n, p = 10**12, 1e-6
@@ -511,12 +563,12 @@ class TestTailEdges:
 
 
 class TestBoundedCost:
-    """Calls that return a handful of numbers cost O(J), not O(n)."""
+    """Calls that return a handful of numbers cost neither O(n) nor O(1/p)."""
 
     @staticmethod
     def _measure(fn):
         _table_masses.cache_clear()
-        _series_stop.cache_clear()
+        _block_log_numerators.cache_clear()
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -550,8 +602,33 @@ class TestBoundedCost:
         assert sp.pmf_scaled(params, 1) == 1.0
         assert sp.cdf_scaled(params, min(n, 3)) == 1.0
 
+    @pytest.mark.parametrize("n,p,i", [(10**12, 1e-7, 1), (10**12, 1e-12, 3), (10**9, 1e-5, 1),
+                                       (10**6, 1 - 1e-12, 1)])
+    def test_p_to_the_edges(self, n, p, i):
+        params = sp.ModelParams(n, p, i)
+        mass, cdf = self._measure(lambda: sp.spacing_distribution(params).head(5))
+        assert np.all(mass > 0.0) and np.all(np.diff(cdf) >= 0.0) and cdf[-1] <= 1.0
+        for d in (1, 2, 5, 4_096, 4_097):
+            got = self._measure(lambda: sp.cdf_scaled(params, d))
+            if i == 1:
+                want = sp.cdf_scaled_closed_i1(n, p, d)
+                assert abs(got - want) <= 1e-13 * want, (d, got, want)
 
-def test_debug_log_reports_the_prefix_and_leaves_stdout_alone(capsys, caplog):
+    def test_near_mode_tail_memory(self):
+        # at i = mode the smaller tail spans many chunks of terms
+        n, p = 10**10, 0.5
+        i = int((n + 2) * p)
+        tracemalloc.start()
+        try:
+            upper, lower = sp.size_tail(n, p, i).log, sp.binomial_cdf_tail_check(n, p, i).log
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert math.exp(upper) + math.exp(lower) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_debug_log_reports_log_t_and_leaves_stdout_alone(capsys, caplog):
     argv = ["pmf", "--n", "40000", "--p", "0.15", "--i", "6", "--d-max", "40"]
     _table_masses.cache_clear()
     assert run(argv) == 0
@@ -562,7 +639,6 @@ def test_debug_log_reports_the_prefix_and_leaves_stdout_alone(capsys, caplog):
     loud = capsys.readouterr()
     assert loud.out == quiet.out and loud.err == quiet.err
     (record,) = [r for r in caplog.records if r.name == "spacings"]
-    fields = dict(re.findall(r"(J|log dropped tail|log T)=([-+.e\d]+)", record.getMessage()))
-    assert int(fields["J"]) == _series_stop(0.15, 6)
-    assert float(fields["log dropped tail"]) < -55 * math.log(2)
+    fields = dict(re.findall(r"(n|i|log T)=([-+.e\d]+)", record.getMessage()))
+    assert (int(fields["n"]), int(fields["i"])) == (40000, 6)
     assert float(fields["log T"]) == sp.size_tail(40000, 0.15, 6).log
