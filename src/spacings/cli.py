@@ -51,7 +51,7 @@ def _parse_n_list(text: str) -> list[int]:
         raise DomainError(f"--n-list {text!r} must be comma-separated integers") from exc
 
 
-_CHUNK = 4096  # rows converted to Python values at a time
+_CHUNK = 4096  # rows formatted and written at a time
 
 
 def _emit(columns: dict, fmt: str) -> None:
@@ -60,27 +60,57 @@ def _emit(columns: dict, fmt: str) -> None:
     CSV prints floats with 17 significant digits and other values with
     ``str``, and nothing at all for an empty table; JSON is the text
     ``json.dump`` gives for the list of row objects.
+
+    When every column is an integer or float array, each chunk of rows is
+    one ``%``-template filled in a single operation and written with one
+    ``write``: ``'%.17g' % x`` is ``format(x, '.17g')`` and ``'%r' % x`` is
+    ``json.dumps(x)`` for every finite float.  Tables with other columns
+    (strings, bools, objects), and JSON chunks holding a NaN or an infinity,
+    take ``csv.writer`` and ``json.dumps`` instead.
     """
     keys = list(columns)
     cols = [np.asarray(c) for c in columns.values()]
     size = len(cols[0])
+    kinds = [c.dtype.kind for c in cols]
+    numeric = all(kind in "iuf" for kind in kinds)
+    out = sys.stdout
     if fmt == "json":
-        sys.stdout.write("[")
+        fields = (json.dumps(k).replace("%", "%%") + (": %r" if kind == "f" else ": %d")
+                  for k, kind in zip(keys, kinds))
+        row = "{" + ", ".join(fields) + "}"
+        out.write("[")
         for start in range(0, size, _CHUNK):
-            rows = zip(*(c[start : start + _CHUNK].tolist() for c in cols))
-            text = json.dumps([dict(zip(keys, row)) for row in rows])
-            sys.stdout.write((", " if start else "") + text[1:-1])
-        sys.stdout.write("]\n")
+            chunk = [c[start : start + _CHUNK] for c in cols]
+            if numeric and all(np.isfinite(c).all() for c, kind in zip(chunk, kinds)
+                               if kind == "f"):
+                text = ", ".join([row] * len(chunk[0])) % _interleave(chunk)
+            else:
+                rows = zip(*(c.tolist() for c in chunk))
+                text = json.dumps([dict(zip(keys, r)) for r in rows])[1:-1]
+            out.write((", " if start else "") + text)
+        out.write("]\n")
         return
     if not size:
         return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(keys)
+    line = ",".join("%.17g" if kind == "f" else "%d" for kind in kinds) + "\n"
     for start in range(0, size, _CHUNK):
-        cells = [c[start : start + _CHUNK].tolist() for c in cols]
-        cells = [[format(v, ".17g") for v in cell] if c.dtype.kind == "f" else cell
-                 for c, cell in zip(cols, cells)]
+        chunk = [c[start : start + _CHUNK] for c in cols]
+        if numeric:
+            out.write(line * len(chunk[0]) % _interleave(chunk))
+            continue
+        cells = [[format(v, ".17g") for v in c.tolist()] if kind == "f" else c.tolist()
+                 for c, kind in zip(chunk, kinds)]
         writer.writerows(zip(*cells))
+
+
+def _interleave(chunk: list) -> tuple:
+    """The cells of equal-length columns in row-major order, as Python values."""
+    flat = [None] * (len(chunk) * len(chunk[0]))
+    for j, c in enumerate(chunk):
+        flat[j :: len(chunk)] = c.tolist()
+    return tuple(flat)
 
 
 def _steps(d_max, n=None) -> np.ndarray:
@@ -105,7 +135,7 @@ def _cmd_cdf(args) -> int:
         raise DomainError("--closed-form is only available for --i 1")
     d = _steps(args.d_max, params.n)
     if args.closed_form:
-        cdf = [cdf_scaled_closed_i1(params.n, params.p, k) for k in d.tolist()]
+        cdf = cdf_scaled_closed_i1(params.n, params.p, d)
     else:
         cdf = spacing_distribution(params).head(d.size)[1]
     _emit({"d": d, "cdf": cdf, "limit_cdf": limit_cdf(params.p, d)}, args.format)

@@ -337,7 +337,7 @@ def cdf_scaled(params: ModelParams, d) -> float:
     return float(spacing_distribution(params).head(d)[1][-1])
 
 
-def cdf_scaled_closed_i1(n, p, d) -> float:
+def cdf_scaled_closed_i1(n, p, d):
     """Closed form of :func:`cdf_scaled` for i = 1.
 
     For the first spacing the survivor-weight sum is a geometric series and
@@ -347,27 +347,38 @@ def cdf_scaled_closed_i1(n, p, d) -> float:
 
     Evaluated through log1p/expm1 so that n ~ 1e6 underflows the q**n
     corrections gracefully instead of producing 0/0.
+
+    ``d`` is an int or an integer array of values in 1..n; the result is a
+    float, or an array of d's shape.  The arguments are checked and log q,
+    q**n and the denominator computed once per call; each d then takes the
+    same scalar ``math`` expressions, so an array entry equals the scalar
+    call bit for bit.
     """
     n = check_int(n, "n", 1)
     p = check_p(p)
-    d = check_int(d, "d", 1, n)
-    if p == 1.0:
-        return 1.0  # numerator and denominator both reduce to 1
+    # a plain int skips _check_steps: scalar calls come by the million
+    d = check_int(d, "d", 1, n) if type(d) is int else _check_steps(d, n)
+    if p == 1.0:  # numerator and denominator both reduce to 1
+        return 1.0 if isinstance(d, int) else np.ones(d.shape)
     log_q = math.log1p(-p)
     qn = math.exp(n * log_q)
-    num = -math.expm1(d * log_q) - d * p * qn
     den = -math.expm1((n + 1) * log_q) - (n + 1) * p * qn
-    return num / den
+    if isinstance(d, int):  # spelled out twice: a nested function doubles a scalar call
+        return (-math.expm1(d * log_q) - d * p * qn) / den
+    return np.array([(-math.expm1(k * log_q) - k * p * qn) / den
+                     for k in d.ravel().tolist()]).reshape(d.shape)
 
 
-def _limit_steps(d) -> np.ndarray:
-    """d, an int or an integer array of values >= 1, as float64."""
-    if np.ndim(d) == 0:
-        return np.float64(check_int(d, "d", 1))
+def _check_steps(d, hi: int | None = None):
+    """d, an int or an integer array of values in 1..hi (no bound when hi is None)."""
+    if isinstance(d, (int, np.integer)) or np.ndim(d) == 0:  # np.ndim alone costs 2 us
+        return check_int(d, "d", 1, hi)
     d = np.asarray(d)
-    if d.size and (d.dtype.kind not in "iu" or d.min() < 1):
-        raise DomainError(f"d needs integer values >= 1, got a {d.dtype} array")
-    return d.astype(np.float64)
+    if d.size and (d.dtype.kind not in "iu" or d.min() < 1
+                   or (hi is not None and d.max() > hi)):
+        bound = "" if hi is None else f" and <= {hi}"
+        raise DomainError(f"d needs integer values >= 1{bound}, got a {d.dtype} array")
+    return d
 
 
 def limit_pmf(p, d):
@@ -376,7 +387,7 @@ def limit_pmf(p, d):
     ``d`` is an int or integer array; the result is a float, or an array of
     d's shape.
     """
-    p, x = check_p(p), _limit_steps(d)
+    p, x = check_p(p), np.asarray(_check_steps(d), dtype=np.float64)
     if p == 1.0:
         out = (x == 1.0).astype(np.float64)
     else:
@@ -389,7 +400,7 @@ def limit_cdf(p, d):
 
     The result is a float, or an array of d's shape.
     """
-    p, x = check_p(p), _limit_steps(d)
+    p, x = check_p(p), np.asarray(_check_steps(d), dtype=np.float64)
     out = np.ones_like(x) if p == 1.0 else -np.expm1(x * math.log1p(-p))
     return float(out) if np.ndim(d) == 0 else out
 
@@ -420,11 +431,19 @@ def binomial_sum_stop_index(p, i) -> int:
     by a search of O(log J) binomial tails.  The 60-nat rule alone ignores
     the negative-binomial mean i/p and truncates inside the bulk once i is
     large; J bounds the tail for any i.  The exact law does not use it.
+
+    The search probes binomials of up to (3i + 20 sqrt(i) + 90) / p trials
+    (3i/p for large i, 63/p at i = 1), and :func:`log_binom_pmf` takes at
+    most 2**996 trials, so p below (3i + 20 sqrt(i) + 90) 2**-996, about
+    1.7e-298 at i = 1, raises DomainError naming that bound.
     """
     p = check_p(p)
     i = check_int(i, "i", 1)
     if p == 1.0:
         return i
+    p_min = (3 * i + 20 * math.isqrt(i) + 90) / 2**996
+    if p < p_min:
+        raise DomainError(f"p={p!r} is below {p_min!r}, the smallest p supported at i={i}")
     return max(i + int(math.ceil(60.0 / -math.log1p(-p))), _series_stop(p, i))
 
 

@@ -134,7 +134,8 @@ def log_pow(log_base: float, k) -> float | np.ndarray:
 def _stirlerr(n: np.ndarray) -> np.ndarray:
     """stirlerr(n) for integer-valued n >= 1: the table to 15, the series above."""
     big = np.maximum(n, 16.0)
-    r = 1.0 / (big * big)
+    with np.errstate(over="ignore"):  # past n = 1.3e154 r is 0 and the series S0/n
+        r = 1.0 / (big * big)
     series = (_S0 - (_S1 - (_S2 - (_S3 - _S4 * r) * r) * r) * r) / big
     return np.where(n <= 15, _STIRLERR[np.minimum(n, 15).astype(np.intp)], series)
 

@@ -7,16 +7,22 @@ same table evaluated through the closed-form expression (also in exact
 rationals) must then agree term by term.
 
 The enumeration walks 2**(n+1) patterns and is capped at n = 16; beyond
-that it adds cost but no verification value.
+that it adds cost but no verification value.  The walk still visits every
+pattern, with no combinatorial shortcut, but in numpy batches of 2**13
+uint32 masks: at n = 16 it takes a few milliseconds, and its working
+memory is a 2**(n+1)-entry uint8 popcount table plus one batch, under
+0.5 MiB (tested below 1 MiB).  The counts it produces are exact integers
+and the weights exact fractions.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError, EnumerationLimitError, check_int
 
@@ -24,6 +30,7 @@ from .errors import DomainError, EnumerationLimitError, check_int
 Rational = Fraction
 
 MAX_ENUMERATION_N = 16
+_MASK_CHUNK = 1 << 13  # patterns per numpy batch
 
 
 def _as_rational(p) -> Fraction:
@@ -71,24 +78,38 @@ class ExactTable:
 
 @lru_cache(maxsize=None)
 def _gap_counts(n: int, i: int) -> tuple[tuple[int, int, int], ...]:
-    """(survivor count, i-th gap, multiplicity) over all qualifying patterns."""
-    counts: Counter[tuple[int, int]] = Counter()
-    for mask in range(1 << (n + 1)):
-        ones = mask.bit_count()
-        if ones <= i:
-            continue
-        rest = mask
+    """(survivor count, i-th gap, multiplicity) over all qualifying patterns.
+
+    Bit j of a mask is the survival of grid point j.  The masks are walked
+    in numpy chunks of 2**13: popcounts come from a table built by
+    doubling, ``rest &= rest - 1`` drops the survivors before the i-th, and
+    with l < h the values of the lowest two remaining bits, the gap is the
+    popcount of h - l.  Every pattern is still visited; only the counting
+    is batched.
+    """
+    bits = n + 1
+    popcount = np.zeros(1, dtype=np.uint8)
+    while popcount.size < 1 << bits:
+        popcount = np.concatenate([popcount, popcount + 1])
+    counts = np.zeros((bits + 1) * bits, dtype=np.int64)  # index ones * bits + gap
+    step = min(_MASK_CHUNK, 1 << bits)
+    for start in range(0, 1 << bits, step):
+        rest = np.arange(start, start + step, dtype=np.uint32)
+        ones = popcount[rest].astype(np.int64)
+        keep = ones > i
+        rest, ones = rest[keep], ones[keep]
         for _ in range(i - 1):
             rest &= rest - 1  # drop survivors before the i-th
-        lo = (rest & -rest).bit_length() - 1
+        lo = rest & ~(rest - 1)
         rest &= rest - 1
-        hi = (rest & -rest).bit_length() - 1
-        counts[(ones, hi - lo)] += 1
-    return tuple((o, d, c) for (o, d), c in counts.items())
+        hi = rest & ~(rest - 1)
+        counts += np.bincount(ones * bits + popcount[hi - lo], minlength=counts.size)
+    return tuple((key // bits, key % bits, c)
+                 for key, c in enumerate(counts.tolist()) if c)
 
 
 def enumerate_conditional_pmf(n, p, i) -> ExactTable:
-    """Spacing pmf computed from the definition, one survival pattern at a time.
+    """Spacing pmf computed from the definition, over every survival pattern.
 
     Each pattern with more than i survivors contributes p**ones * (1-p)**zeros
     to the mass of its observed i-th gap; the masses are then normalized by

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spacings as sp
+from spacings import cli
 from spacings.cli import run
 
 
@@ -292,3 +296,145 @@ def test_no_subcommand_imports_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
+
+
+def _reference_emit(columns: dict, fmt: str, out) -> None:
+    """Reference emitter: the same table through csv.writer and json.dumps, row by row."""
+    keys = list(columns)
+    cols = [np.asarray(c) for c in columns.values()]
+    size = len(cols[0])
+    if fmt == "json":
+        out.write("[")
+        for start in range(0, size, 4096):
+            rows = zip(*(c[start : start + 4096].tolist() for c in cols))
+            text = json.dumps([dict(zip(keys, row)) for row in rows])
+            out.write((", " if start else "") + text[1:-1])
+        out.write("]\n")
+        return
+    if not size:
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(keys)
+    for start in range(0, size, 4096):
+        cells = [c[start : start + 4096].tolist() for c in cols]
+        cells = [[format(v, ".17g") for v in cell] if c.dtype.kind == "f" else cell
+                 for c, cell in zip(cols, cells)]
+        writer.writerows(zip(*cells))
+
+
+_EMIT = cli._emit
+
+
+def _emitted(columns: dict, fmt: str, monkeypatch) -> tuple[str, str]:
+    """(what cli._emit writes, what the reference emitter writes)."""
+    new, ref = io.StringIO(), io.StringIO()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", new)
+        _EMIT(columns, fmt)
+    _reference_emit(columns, fmt, ref)
+    return new.getvalue(), ref.getvalue()
+
+
+_EVERY_SUBCOMMAND = [
+    ["pmf", "--n", "5000", "--p", "0.02", "--i", "3"],
+    ["pmf", "--n", "1", "--p", "1", "--i", "1"],
+    ["cdf", "--n", "300", "--p", "0.3", "--i", "300"],
+    ["cdf", "--n", "9000", "--p", "1e-4", "--i", "1", "--closed-form"],
+    ["cdf", "--n", "20", "--p", "1", "--i", "1", "--closed-form"],
+    ["limit", "--p", "1e-300", "--d-max", "4097"],
+    ["sample", "--n", "60", "--p", "0.2", "--i", "2", "--trials", "500", "--seed", "4"],
+    ["stream", "--p", "0.3", "--count", "8192", "--seed", "2"],
+    ["sample", "--n", "1", "--p", "0.01", "--i", "1", "--trials", "5"],
+    ["sweep", "--p", "0.2", "--i", "1", "--n-list", "30,60", "--d-max", "20"],
+    ["oracle", "--n", "7", "--p", "2/7", "--i", "2"],
+    ["seq-sample", "--Q", "30", "--p", "0.5", "--seed", "1"],
+    ["seq-sample", "--alpha", "0.3", "--count", "2", "--p", "1"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: "-".join(argv[:2]))
+def test_every_subcommand_emits_the_reference_bytes(monkeypatch, capsys, argv, fmt):
+    tables = []
+
+    def spy(columns, fmt_):
+        tables.append(_emitted(columns, fmt_, monkeypatch))
+        _EMIT(columns, fmt_)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    assert run([*argv, "--format", fmt]) == 0
+    out = capsys.readouterr()[0]
+    assert len(tables) == 1
+    new, ref = tables[0]
+    assert new == ref
+    assert out.startswith(new)
+
+
+_EXTREMES = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1.7e308,
+             -1.7e308, 2.2250738585072014e-308, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_synthetic_extremes_emit_the_reference_bytes(monkeypatch, fmt):
+    info = np.iinfo(np.int64)
+    rows = len(_EXTREMES)
+    with np.errstate(over="ignore"):  # 1.7e308 is inf in float32
+        x32 = np.array(_EXTREMES, dtype=np.float32)
+    numeric = {"k": np.array([info.min, info.max, 0, -1, 1] + [7] * (rows - 5)),
+               "x": np.array(_EXTREMES), "x32": x32,
+               "u": np.arange(rows, dtype=np.uint64) + np.uint64(2**63)}
+    mixed = {**numeric, "flag": np.arange(rows) % 2 == 0,
+             "label": [f"r{k}, \"q\"" for k in range(rows)]}
+    for columns in (numeric, mixed, {"x": np.array(_EXTREMES[3:])}):
+        new, ref = _emitted(columns, fmt, monkeypatch)
+        assert new == ref
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_chunk_seams_emit_the_reference_bytes(monkeypatch, fmt, rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    with np.errstate(over="ignore"):
+        columns = {"d": np.arange(1, rows + 1), "x": x, "y": x.astype(np.float32)}
+    new, ref = _emitted(columns, fmt, monkeypatch)
+    assert new == ref
+    if rows > 4096:  # a NaN in one chunk sends only that chunk down the json.dumps path
+        x[4096] = float("nan")
+        new, ref = _emitted(columns, fmt, monkeypatch)
+        assert new == ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 9000),
+       floats=st.lists(st.one_of(st.sampled_from(_EXTREMES), st.floats()), min_size=1, max_size=50),
+       ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50),
+       seed=st.integers(0, 2**32 - 1), fmt=st.sampled_from(["csv", "json"]))
+def test_random_numeric_tables_emit_the_reference_bytes(rows, floats, ints, seed, fmt):
+    # cells drawn from Hypothesis' pools, so any row count costs the same to generate
+    rng = np.random.default_rng(seed)
+    columns = {"i": rng.choice(np.array(ints, dtype=np.int64), rows),
+               "f": rng.choice(np.array(floats, dtype=np.float64), rows)}
+    new, ref = io.StringIO(), io.StringIO()
+    saved, sys.stdout = sys.stdout, new
+    try:
+        _EMIT(columns, fmt)
+    finally:
+        sys.stdout = saved
+    _reference_emit(columns, fmt, ref)
+    assert new.getvalue() == ref.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_does_not_depend_on_buffering(capsys, fmt):
+    argv = ["pmf", "--n", "5000", "--p", "0.01", "--i", "2", "--format", fmt]
+    assert run(argv) == 0
+    expected = capsys.readouterr()[0].encode()
+    src = str(Path(sp.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for env in (base, {**base, "PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected

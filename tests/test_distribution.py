@@ -198,6 +198,17 @@ class TestDistributionTable:
             table.mass[0] = 2.0
 
 
+def _closed_form_scalar(n, p, d):
+    """The i = 1 closed form for one d, as scalar math (the bytes the CLI prints)."""
+    if p == 1.0:
+        return 1.0
+    log_q = math.log1p(-p)
+    qn = math.exp(n * log_q)
+    num = -math.expm1(d * log_q) - d * p * qn
+    den = -math.expm1((n + 1) * log_q) - (n + 1) * p * qn
+    return num / den
+
+
 class TestCdf:
     def test_full_support_reaches_one(self):
         for n, p, i in [(2, 0.5, 1), (10, 1.0, 1), (300, 0.07, 4)]:
@@ -227,6 +238,36 @@ class TestCdf:
             assert abs(
                 sp.cdf_scaled_closed_i1(10**6, 0.001, d) - sp.limit_cdf(0.001, d)
             ) < 1e-12
+
+    # small n p keeps the d p q**n term of the numerator visible
+    @pytest.mark.parametrize("n,p", [(1, 0.3), (1, 1.0), (25_000, 0.1), (25_000, 3e-5),
+                                     (25_000, 1.0), (10**6, 0.001), (10**6, 3e-7),
+                                     (10**6, 1.0)])
+    def test_closed_form_array_equals_scalar_calls(self, n, p):
+        d = np.arange(1, n + 1)
+        column = sp.cdf_scaled_closed_i1(n, p, d)
+        assert column.shape == d.shape and column.dtype == np.float64
+        picks = np.unique(np.r_[d[:300], d[-300:], d[:: max(n // 1000, 1)]]).tolist()
+        # bit for bit: the array path evaluates the scalar expressions
+        scalar = [sp.cdf_scaled_closed_i1(n, p, k) for k in picks]
+        assert column[np.array(picks) - 1].tolist() == scalar
+        assert scalar == [_closed_form_scalar(n, p, k) for k in picks]
+
+    def test_closed_form_array_shape_and_scalar_type(self):
+        grid = np.array([[1, 2], [3, 4]])
+        out = sp.cdf_scaled_closed_i1(10, 0.2, grid)
+        assert out.shape == (2, 2)
+        assert out[1, 0] == sp.cdf_scaled_closed_i1(10, 0.2, 3)
+        assert sp.cdf_scaled_closed_i1(10, 0.2, np.arange(1, 1)).shape == (0,)
+        for d in (4, np.int64(4)):
+            assert type(sp.cdf_scaled_closed_i1(10, 0.2, d)) is float
+        assert type(sp.cdf_scaled_closed_i1(10, 1.0, 4)) is float
+
+    @pytest.mark.parametrize("d", [np.array([0, 1]), np.array([1, 11]), np.array([1.0, 2.0]),
+                                   np.array([True, True]), np.array(["1"]), 0, 11, 2.5])
+    def test_closed_form_rejects_bad_d(self, d):
+        with pytest.raises(DomainError):
+            sp.cdf_scaled_closed_i1(10, 0.2, d)
 
 
 class TestLimitLaw:
@@ -327,6 +368,29 @@ class TestBinomialSum:
         assert sp.binomial_sum_stop_index(1.0, 4) == 4
         expected = 3 + math.ceil(60 / -math.log1p(-0.2))
         assert sp.binomial_sum_stop_index(0.2, 3) == expected
+
+    @pytest.mark.parametrize("i", [1, 3])
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-17])
+    def test_stop_index_at_tiny_p(self, p, i):
+        # below the smallest supported p the search would need binomials
+        # past 2**996 trials; that is a DomainError, never an OverflowError
+        p_min = (3 * i + 20 * math.isqrt(i) + 90) / 2**996
+        if p < p_min:
+            with pytest.raises(DomainError, match=re.escape(repr(p_min))):
+                sp.binomial_sum_stop_index(p, i)
+        else:
+            assert sp.binomial_sum_stop_index(p, i) == i + math.ceil(60 / -math.log1p(-p))
+
+    @pytest.mark.parametrize("i", [1, 3, 100, 1000])
+    def test_stop_index_at_the_smallest_supported_p(self, i):
+        p_min = (3 * i + 20 * math.isqrt(i) + 90) / 2**996
+        with np.errstate(over="raise", invalid="raise"):
+            stop = sp.binomial_sum_stop_index(p_min, i)
+        # tiny p: the tail search converges where Poisson((J+1)p) does
+        assert stop * p_min == pytest.approx(
+            max(60, sp.binomial_sum_stop_index(1e-17, i) * 1e-17), rel=1e-6)
+        with pytest.raises(DomainError):
+            sp.binomial_sum_stop_index(math.nextafter(p_min, 0.0), i)
 
 
 class TestBinomialCdfTailCheck:

@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import spacings as sp
 from spacings.errors import DomainError, EnumerationLimitError
+from spacings.oracle import _gap_counts
 
 
 def test_hand_enumerated_example():
@@ -76,3 +80,42 @@ def test_rejects_floats_and_bad_ranges():
         sp.enumerate_conditional_pmf(2, Fraction(1, 2), 3)
     with pytest.raises(EnumerationLimitError):
         sp.enumerate_conditional_pmf(17, Fraction(1, 2), 1)
+
+
+def _reference_gap_counts(n, i):
+    """The oracle's counts, one pattern at a time in plain Python."""
+    counts = Counter()
+    for mask in range(1 << (n + 1)):
+        ones = mask.bit_count()
+        if ones <= i:
+            continue
+        rest = mask
+        for _ in range(i - 1):
+            rest &= rest - 1  # drop survivors before the i-th
+        lo = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        hi = (rest & -rest).bit_length() - 1
+        counts[(ones, hi - lo)] += 1
+    return sorted((ones, d, c) for (ones, d), c in counts.items())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gap_counts_equal_the_per_pattern_walk(n):
+    for i in range(1, n + 1):
+        got = _gap_counts(n, i)
+        assert all(type(v) is int for row in got for v in row)
+        assert sorted(got) == _reference_gap_counts(n, i)
+
+
+@pytest.mark.parametrize("i", [1, 2, 8, 15, 16])
+def test_gap_counts_at_the_cap(i):
+    _gap_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        got = _gap_counts(16, i)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(got) == _reference_gap_counts(16, i)
+    assert sum(c for _, _, c in got) == sum(math.comb(17, k) for k in range(i + 1, 18))
+    assert peak < 2**20
