@@ -74,14 +74,16 @@ _CHUNK = 4096
 # A relative series tail below 2**-55 leaves every later term under half an
 # ulp of the sum, with a factor 2 to spare for rounding.
 _LOG_TAIL_BOUND = -55 * math.log(2.0)
+# The largest grid size n: float64 holds every grid index and n + 1 exactly.
+GRID_N_MAX = 2**53 - 2
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Grid size n, survival probability p, spacing index i.
 
-    The grid has n+1 points; the i-th spacing needs at least i+1 survivors,
-    so 1 <= i <= n is required.
+    The grid has n+1 points, 1 <= n <= GRID_N_MAX; the i-th spacing needs at
+    least i+1 survivors, so 1 <= i <= n is required.
     """
 
     n: int
@@ -89,7 +91,7 @@ class ModelParams:
     i: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", check_int(self.n, "n", 1))
+        object.__setattr__(self, "n", check_int(self.n, "n", 1, GRID_N_MAX))
         object.__setattr__(self, "p", check_p(self.p))
         object.__setattr__(self, "i", check_int(self.i, "i", 1, self.n))
 
@@ -235,7 +237,7 @@ def size_tail(n, p, i) -> LogProb:
     The smaller binomial tail is summed from i outward in log domain (see
     ``_binom_tails``), so the cost is O(min(i, sd)) whatever n is.
     """
-    n = check_int(n, "n", 1)
+    n = check_int(n, "n", 1, GRID_N_MAX)
     p = check_p(p)
     i = check_int(i, "i", 0, n)
     if p == 1.0:
@@ -348,13 +350,21 @@ def cdf_scaled_closed_i1(n, p, d):
     Evaluated through log1p/expm1 so that n ~ 1e6 underflows the q**n
     corrections gracefully instead of producing 0/0.
 
+    Accuracy: when (n+1)p is small both brackets cancel, the denominator to
+    about ((n+1)p)**2 / 2 from terms near (n+1)p, so the relative error is
+    about 6e-16 / ((n+1)p): measured against 80-digit references at
+    d = 1, 2, n/2, n-1, n it is 3.8e-4 at (n, p) = (1000, 1e-15), 4.3e-10 at
+    (10**6, 1e-12) and 4.3e-13 at (10**6, 1e-9), and a few ulp once
+    (n+1)p >= 1.  Where the denominator rounds to zero or below, DomainError
+    is raised; the summed :func:`cdf_scaled` has no such limit.
+
     ``d`` is an int or an integer array of values in 1..n; the result is a
     float, or an array of d's shape.  The arguments are checked and log q,
     q**n and the denominator computed once per call; each d then takes the
     same scalar ``math`` expressions, so an array entry equals the scalar
-    call bit for bit.
+    call bit for bit.  Arrays are filled _CHUNK entries at a time.
     """
-    n = check_int(n, "n", 1)
+    n = check_int(n, "n", 1, GRID_N_MAX)
     p = check_p(p)
     # a plain int skips _check_steps: scalar calls come by the million
     d = check_int(d, "d", 1, n) if type(d) is int else _check_steps(d, n)
@@ -363,10 +373,17 @@ def cdf_scaled_closed_i1(n, p, d):
     log_q = math.log1p(-p)
     qn = math.exp(n * log_q)
     den = -math.expm1((n + 1) * log_q) - (n + 1) * p * qn
+    if not den > 0.0:
+        raise DomainError(f"the i=1 closed form cancels to {den!r} at n={n}, p={p!r}: "
+                          "(n+1)p is too small")
     if isinstance(d, int):  # spelled out twice: a nested function doubles a scalar call
         return (-math.expm1(d * log_q) - d * p * qn) / den
-    return np.array([(-math.expm1(k * log_q) - k * p * qn) / den
-                     for k in d.ravel().tolist()]).reshape(d.shape)
+    flat = d.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _CHUNK):
+        out[start : start + _CHUNK] = [(-math.expm1(k * log_q) - k * p * qn) / den
+                                       for k in flat[start : start + _CHUNK].tolist()]
+    return out.reshape(d.shape)
 
 
 def _check_steps(d, hi: int | None = None):
@@ -490,7 +507,7 @@ def binomial_cdf_tail_check(n, p, i) -> LogProb:
     to zero as n grows at fixed i and p, which is what makes the conditional
     law approach the geometric limit.
     """
-    n = check_int(n, "n", 1)
+    n = check_int(n, "n", 1, GRID_N_MAX)
     p = check_p(p)
     i = check_int(i, "i", 0, n)
     if p == 1.0:

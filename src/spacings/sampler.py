@@ -12,10 +12,8 @@ bit-identical results on every run of the same build.  Large trial counts
 are partitioned into blocks of a fixed number of draws, so the block layout
 is a function of (trials, i) alone; block b draws from a child of
 ``numpy.random.SeedSequence(seed)``, and block results merge by addition,
-so the outcome is independent of how many worker threads are used.
-
-The worker count defaults to 1 and can be raised per call or capped
-globally through the ``SPACINGS_THREADS`` environment variable.
+so the outcome is independent of how many threads run them.  Blocks run on
+as many threads as the machine has CPUs.
 """
 
 from __future__ import annotations
@@ -31,27 +29,12 @@ from .distribution import ModelParams
 from .errors import DomainError, check_int, check_p
 from .sequences import PointSet
 
-THREADS_ENV = "SPACINGS_THREADS"
-
 _BLOCK_DRAWS = 1 << 18  # geometric waiting times drawn per block
 _SUBSET_SIGMAS = 6.0  # sample_subset draws beyond the expected survivor count
 # Generator.geometric saturates at 2**63 - 1 for waiting times >= 2**63,
 # which below this p happen with probability above exp(-128) per draw.
 _STREAM_P_MIN = 2.0**-56
-_GRID_N_MAX = 2**53 - 2  # grid end positions stay exact in float64
 _SEED_MAX = (1 << 64) - 1  # seeds span the unsigned 64-bit range
-
-
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is None:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError as exc:
-            raise DomainError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-    return check_int(workers, "workers", 1)
 
 
 @dataclass(frozen=True)
@@ -156,28 +139,26 @@ def _simulate_block(child: np.random.SeedSequence, n: int, p: float, i: int,
     return values, counts, rows - int(np.count_nonzero(kept))
 
 
-def collect_empirical(n, p, i, trials, seed, workers=None) -> EmpiricalDistribution:
+def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     """Thin grid(n) repeatedly and histogram the i-th scaled spacing.
 
     A trial walks to the (i+1)-th survivor in i+1 geometric steps, O(i) for
     any n, and is discarded when that survivor lies beyond the grid.  Blocks
     hold a fixed number of draws, so the partitioning depends on (trials, i)
-    alone and results never depend on the worker count.
+    alone; they run on one thread per CPU, up to one per block, and results
+    never depend on that number.
     """
     trials = check_int(trials, "trials", 1)
     params = ModelParams(n, p, i)
     n, p, i = params.n, params.p, params.i
-    if n > _GRID_N_MAX:
-        raise DomainError(f"n={n} exceeds the sampler's limit 2**53 - 2")
     seed = check_int(seed, "seed", 0, _SEED_MAX)
-    workers = _resolve_workers(workers)
 
     rows_per_block = max(1, _BLOCK_DRAWS // (i + 1))
     n_blocks = (trials + rows_per_block - 1) // rows_per_block
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     sizes = [min(rows_per_block, trials - b * rows_per_block) for b in range(n_blocks)]
 
-    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+    with ThreadPoolExecutor(min(os.cpu_count() or 1, n_blocks)) as pool:
         results = list(
             pool.map(lambda b: _simulate_block(children[b], n, p, i, sizes[b]),
                      range(n_blocks))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import spacings as sp
 from spacings import cli
 from spacings.cli import run
+from spacings.distribution import GRID_N_MAX
 
 
 def _lines(capsys):
@@ -187,6 +189,17 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["cdf", "--n", "1", "--p", "1e-300", "--i", "1", "--closed-form"],
+        ["cdf", "--n", "5", "--p", "1e-17", "--i", "1", "--closed-form"],
+        ["pmf", "--n", str(10**30), "--p", "1e-25", "--i", "3"],
+        ["pmf", "--n", str(GRID_N_MAX + 1), "--p", "0.5", "--i", "1"],
+    ])
+    def test_out_of_range_exits_two_with_one_line(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("d_max", ["0", "-3"])
     @pytest.mark.parametrize("argv", [
@@ -438,3 +451,37 @@ def test_stdout_does_not_depend_on_buffering(capsys, fmt):
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected
+
+
+_EDGE_P = ["5e-324", "1e-300", "1"]
+# n = 1, i = n, n = 10**12, the largest grid and sizes past it
+_EDGE_NI = [(1, 1), (7, 7), (10**12, 1), (10**12, 3), (10**12, 10**12), (GRID_N_MAX, 3),
+            (GRID_N_MAX + 1, 1), (10**30, 3), (10**301, 3)]
+
+
+def _edge_argvs() -> list[list[str]]:
+    argvs = []
+    for n, i in _EDGE_NI:
+        for p in _EDGE_P:
+            model = ["--n", str(n), "--p", p, "--i", str(i)]
+            argvs += [
+                ["pmf", *model, "--d-max", "3"],
+                ["cdf", *model, "--d-max", "3"],
+                ["cdf", *model, "--d-max", "3", "--closed-form"],
+                ["limit", "--p", p, "--d-max", "3"],
+                ["stream", "--p", p, "--count", "3"],
+                ["sweep", "--p", p, "--i", str(i), "--n-list", str(n), "--d-max", "1"],
+                ["oracle", "--n", str(n), "--p", str(Fraction(float(p))), "--i", str(i)],
+                ["seq-sample", "--Q", "1", "--p", p],
+            ]
+            # a Monte Carlo trial walks i+1 geometric steps, so sample takes i = n at n = 7
+            if i <= 10**6:
+                argvs.append(["sample", *model, "--trials", "50", "--seed", "1"])
+    unique = {tuple(argv): None for argv in argvs}
+    return [list(argv) for argv in unique]
+
+
+@pytest.mark.parametrize("argv", _edge_argvs(), ids=" ".join)
+def test_domain_edges_end_in_an_exit_code(capsys, argv):
+    assert run(argv) in (0, 1, 2)
+    capsys.readouterr()

@@ -3,6 +3,7 @@ import math
 import re
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ import spacings as sp
 from spacings import oracle
 from spacings.cli import run
 from spacings.distribution import (
+    GRID_N_MAX,
     _block_log_numerators,
     _logsumexp_unimodal,
     _series_stop,
@@ -37,6 +39,27 @@ class TestModelParams:
     def test_invalid(self, n, p, i):
         with pytest.raises(DomainError):
             sp.ModelParams(n, p, i)
+
+    @pytest.mark.parametrize("p", [0.5, 1e-15, 1e-300, 1.0])
+    def test_largest_grid_has_a_bounded_head(self, p):
+        tracemalloc.start()
+        try:
+            mass, cdf = sp.spacing_distribution(sp.ModelParams(GRID_N_MAX, p, 3)).head(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(mass)) and np.all(mass >= 0.0) and 0.0 < cdf[-1] <= 1.0
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n", [GRID_N_MAX + 1, 10**301])
+    def test_grid_size_bound(self, n):
+        for call in (lambda: sp.ModelParams(n, 1e-300, 3),
+                     lambda: sp.size_tail(n, 1e-300, 3),
+                     lambda: sp.binomial_cdf_tail_check(n, 1e-300, 3),
+                     lambda: sp.cdf_scaled_closed_i1(n, 0.5, 1),
+                     lambda: sp.collect_empirical(n, 0.5, 1, 10, 1)):
+            with pytest.raises(DomainError, match=f"n={n} must be <= {GRID_N_MAX}"):
+                call()
 
 
 class TestLogProb:
@@ -262,6 +285,28 @@ class TestCdf:
         for d in (4, np.int64(4)):
             assert type(sp.cdf_scaled_closed_i1(10, 0.2, d)) is float
         assert type(sp.cdf_scaled_closed_i1(10, 1.0, 4)) is float
+
+    # the relative error of the closed form is about 6e-16 / ((n+1)p)
+    @pytest.mark.parametrize("n,p,rel", [(1000, 1e-15, 5e-4), (10**6, 1e-12, 1e-9),
+                                         (10**6, 1e-9, 1e-12), (1000, 1e-3, 1e-15),
+                                         (10**6, 0.1, 1e-15)])
+    def test_closed_form_accuracy(self, n, p, rel):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            big_p = Decimal(p)
+            q = 1 - big_p
+            qn = q**n
+            for d in sorted({1, 2, n // 2, n - 1, n}):
+                exact = (1 - q**d - d * big_p * qn) / (1 - q ** (n + 1) - (n + 1) * big_p * qn)
+                for closed in (sp.cdf_scaled_closed_i1(n, p, d),
+                               sp.cdf_scaled_closed_i1(n, p, np.array([d]))[0]):
+                    assert abs(Decimal(closed) / exact - 1) <= rel
+
+    @pytest.mark.parametrize("n,p", [(1, 1e-300), (1, 5e-324), (5, 1e-17), (10**12, 1e-300)])
+    def test_closed_form_refuses_a_cancelled_denominator(self, n, p):
+        for d in (1, np.array([1])):
+            with pytest.raises(DomainError, match="closed form cancels"):
+                sp.cdf_scaled_closed_i1(n, p, d)
 
     @pytest.mark.parametrize("d", [np.array([0, 1]), np.array([1, 11]), np.array([1.0, 2.0]),
                                    np.array([True, True]), np.array(["1"]), 0, 11, 2.5])

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from scipy.stats import chi2
 import spacings as sp
 from spacings import sampler
 from spacings.errors import DomainError
-from spacings.sampler import THREADS_ENV
 
 
 def dense_reference(n, p, i, trials, seed):
@@ -125,23 +125,44 @@ class TestCollectEmpirical:
         assert abs(emp.total / trials - tail) < 4 * se
         assert emp.total + emp.discarded == trials
 
-    def test_worker_count_does_not_change_results(self):
-        base = sp.collect_empirical(400, 0.2, 2, 50_000, 77, workers=1)
-        threaded = sp.collect_empirical(400, 0.2, 2, 50_000, 77, workers=4)
-        assert base.counts == threaded.counts
-        assert base.discarded == threaded.discarded
+    @staticmethod
+    def _with_cpus(monkeypatch, cpus, *args):
+        """collect_empirical(*args) on a machine that reports ``cpus`` CPUs.
 
-    def test_threads_env_is_honored(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        enveloped = sp.collect_empirical(100, 0.3, 1, 20_000, 11)
-        monkeypatch.delenv(THREADS_ENV)
-        assert enveloped.counts == sp.collect_empirical(100, 0.3, 1, 20_000, 11).counts
+        Returns the result and the thread count the blocks ran on.
+        """
+        threads = []
 
-    def test_workers_across_several_blocks(self):
+        class Recorder(sampler.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                threads.append(max_workers)
+                super().__init__(max_workers)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "cpu_count", lambda: cpus)
+            m.setattr(sampler, "ThreadPoolExecutor", Recorder)
+            emp = sp.collect_empirical(*args)
+        return emp, threads[0]
+
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        args = (400, 0.2, 2, 200_000, 77)  # three blocks at i = 2
+        base, threads = self._with_cpus(monkeypatch, 1, *args)
+        assert threads == 1
+        for cpus in (3, 4):
+            threaded, threads = self._with_cpus(monkeypatch, cpus, *args)
+            assert threads == 3
+            assert base.counts == threaded.counts
+            assert base.discarded == threaded.discarded
+
+    def test_workers_across_several_blocks(self, monkeypatch):
         trials = 3 * (sampler._BLOCK_DRAWS // 2) + 7  # four blocks at i = 1
-        base = sp.collect_empirical(10**6, 0.01, 1, trials, 91, workers=1)
-        threaded = sp.collect_empirical(10**6, 0.01, 1, trials, 91, workers=3)
-        assert base == threaded
+        args = (10**6, 0.01, 1, trials, 91)
+        base = self._with_cpus(monkeypatch, 1, *args)[0]
+        # os.cpu_count() is None when the count is unknown: one thread
+        for cpus, expected in ((3, 3), (4, 4), (8, 4), (None, 1)):
+            threaded, threads = self._with_cpus(monkeypatch, cpus, *args)
+            assert threads == expected
+            assert base == threaded
         assert base.total + base.discarded == trials
 
     @pytest.mark.parametrize("n, p, i", [(10**9, 0.5, 3), (10**12, 1e-11, 1)])
