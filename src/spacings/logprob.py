@@ -19,7 +19,8 @@ is summed as a series in v = (x - mu)/(x + mu) near the mode.  Every term
 is small or carried relative to its own size: no lgamma values of size
 m log m are subtracted, so the log stays accurate at m = 10**12.  k = 0 and
 k = m are the exact m log q and m log p.  The coefficient ``log_binomial``
-uses the same Stirling-error terms.
+uses the same Stirling-error terms; it is the package's one log C(m, k), for
+every k, so its cost per element does not grow with k.
 """
 
 from __future__ import annotations
@@ -231,25 +232,3 @@ def log_binom_pmf(k, m, p: float) -> float | np.ndarray:
                       - _bd0(mm - kk, (mm - hi) - lo, -diff))
     return _as_result(out)
 
-
-def log_binomial_fixed_k(j, k: int) -> float | np.ndarray:
-    """log of binomial(j, k) for a fixed small k, as an exact product.
-
-    Writing C(j, k) = prod_{t=1..k} (j - k + t) / t keeps the absolute error
-    of the log near k ulp; the exact law builds its survivor-weight terms
-    from it.  Falls back to the Stirling form of :func:`log_binomial` for
-    k > 64, where the product form stops being cheap.
-    """
-    if k > 64:
-        return log_binomial(j, k)
-    scalar = np.isscalar(j)
-    j = np.asarray(j, dtype=np.float64)
-    out = np.zeros(j.shape, dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for t in range(1, k + 1):
-            out += np.log(j - k + t)
-    out -= math.lgamma(k + 1)
-    out = np.where(j >= k, out, _NEG_INF)
-    if scalar:
-        return float(out)
-    return out

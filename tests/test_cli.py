@@ -193,6 +193,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["cdf", "--n", "1", "--p", "1e-300", "--i", "1", "--closed-form"],
         ["cdf", "--n", "5", "--p", "1e-17", "--i", "1", "--closed-form"],
+        ["cdf", "--n", "10", "--p", "1e-15", "--i", "1", "--closed-form"],
         ["pmf", "--n", str(10**30), "--p", "1e-25", "--i", "3"],
         ["pmf", "--n", str(GRID_N_MAX + 1), "--p", "0.5", "--i", "1"],
     ])

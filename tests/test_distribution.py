@@ -286,10 +286,9 @@ class TestCdf:
             assert type(sp.cdf_scaled_closed_i1(10, 0.2, d)) is float
         assert type(sp.cdf_scaled_closed_i1(10, 1.0, 4)) is float
 
-    # the relative error of the closed form is about 6e-16 / ((n+1)p)
-    @pytest.mark.parametrize("n,p,rel", [(1000, 1e-15, 5e-4), (10**6, 1e-12, 1e-9),
-                                         (10**6, 1e-9, 1e-12), (1000, 1e-3, 1e-15),
-                                         (10**6, 0.1, 1e-15)])
+    # the relative error of the closed form is about 1e-15 / ((n+1)p), (n+1)p >= 1.25e-3
+    @pytest.mark.parametrize("n,p,rel", [(10**6, 1.25e-9, 1e-12), (1000, 1.25e-6, 1e-12),
+                                         (1000, 1e-3, 1e-15), (10**6, 0.1, 1e-15)])
     def test_closed_form_accuracy(self, n, p, rel):
         with localcontext() as ctx:
             ctx.prec = 80
@@ -302,10 +301,12 @@ class TestCdf:
                                sp.cdf_scaled_closed_i1(n, p, np.array([d]))[0]):
                     assert abs(Decimal(closed) / exact - 1) <= rel
 
-    @pytest.mark.parametrize("n,p", [(1, 1e-300), (1, 5e-324), (5, 1e-17), (10**12, 1e-300)])
+    @pytest.mark.parametrize("n,p", [(1, 1e-300), (1, 5e-324), (5, 1e-17), (10**12, 1e-300),
+                                     (10, 1e-15), (1000, 1e-15), (10**6, 1e-12),
+                                     (10**6, 1e-9), (10**6, 1.2e-9)])
     def test_closed_form_refuses_a_cancelled_denominator(self, n, p):
         for d in (1, np.array([1])):
-            with pytest.raises(DomainError, match="closed form cancels"):
+            with pytest.raises(DomainError, match=r"closed form needs \(n\+1\)p >= 0.00125"):
                 sp.cdf_scaled_closed_i1(n, p, d)
 
     @pytest.mark.parametrize("d", [np.array([0, 1]), np.array([1, 11]), np.array([1.0, 2.0]),
@@ -559,8 +560,20 @@ class TestRelativeAccuracy:
         (400, Fraction(1, 2), 100), (400, Fraction(7, 8), 150), (300, Fraction(1, 4), 70),
     ])
     def test_stirling_fallback_within_5e_13_relative(self, monkeypatch, n, p, i):
-        # i - 1 > 64: the survivor weights take log C(j, i-1) from the Stirling form
+        # a large lower index i - 1 of the survivor weights' log C(j, i-1)
         self.test_masses_within_5e_13_relative(monkeypatch, n, p, i)
+
+    @pytest.mark.parametrize("n,p,i", [(150, 0.5, 63), (150, 0.3, 64), (150, 0.3, 65),
+                                       (400, 0.1, 63), (400, 0.1, 64)])
+    def test_masses_within_8e_14_relative_at_i_near_64(self, monkeypatch, n, p, i):
+        # every lower index i - 1 takes log C(j, i-1) from the same Stirling form
+        monkeypatch.setattr(oracle, "MAX_ENUMERATION_N", n)
+        exact = oracle.exact_closed_form_pmf(n, Fraction(p), i)
+        mass = sp.spacing_distribution(sp.ModelParams(n, p, i)).mass
+        for d in range(1, n + 1):
+            want = float(exact.mass(d))
+            if want >= np.finfo(float).tiny:
+                assert abs(mass[d - 1] - want) <= 8e-14 * want, (d, mass[d - 1], want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

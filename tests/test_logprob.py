@@ -18,7 +18,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from spacings.logprob import log_binom_pmf, log_binomial, log_binomial_fixed_k
+from spacings.logprob import log_binom_pmf, log_binomial
 
 P_EDGE = (1e-12, 1 - 1e-12, 0.5, 0.3, 0.1, 2.0**-20, 0.999)
 M_GRID = (1, 2, 3, 5, 15, 16, 17, 31, 100, 1000, 10**4, 10**5, 10**6, 10**7, 10**9, 10**12)
@@ -66,6 +66,9 @@ def test_every_k_of_small_m(m):
         for k, value in enumerate(log_binom_pmf(np.arange(m + 1), m, p)):
             want = _exact_log_pmf(k, m, p)
             assert abs(value - want) <= 4e-15 * (1 + abs(want)), (k, m, p)
+    for k, value in enumerate(log_binomial(m, np.arange(m + 1))):
+        want = float(_ln_int(math.comb(m, k)))
+        assert abs(value - want) <= 1e-15 * max(1.0, want), (k, m)
 
 
 def test_ends_are_exact_powers():
@@ -107,18 +110,11 @@ def test_bounded_time_at_m_1e12():
 
 @pytest.mark.parametrize("m", [2, 15, 16, 100, 400, 10**4, 10**6, 10**9, 10**12])
 def test_log_binomial_against_exact_integers(m):
-    for k in sorted({1, 2, 3, 65, 100, 1000, MAX_EXACT_SIDE, m // 3, m // 2, m - 1}):
+    # k = 9, 63 and 64 are lower indices of the exact law's survivor weights
+    for k in sorted({1, 2, 3, 9, 63, 64, 65, 100, 1000, MAX_EXACT_SIDE, m // 3, m // 2, m - 1}):
         if 0 < k < m and min(k, m - k) <= MAX_EXACT_SIDE:
             want = float(_ln_int(math.comb(m, k)))
             assert abs(log_binomial(m, k) - want) <= 1e-15 * max(1.0, want), (m, k)
     assert log_binomial(m, 0) == 0.0 and log_binomial(m, m) == 0.0
     assert log_binomial(m, m + 1) == -math.inf and log_binomial(m, -1) == -math.inf
 
-
-def test_fixed_k_fallback_above_64_is_the_stirling_form():
-    j = np.array([99, 100, 101, 500, 10**6, 10**12])
-    got = log_binomial_fixed_k(j, 100)
-    assert got[0] == -math.inf
-    for jj, value in zip(j[1:].tolist(), got[1:]):
-        want = float(_ln_int(math.comb(jj, 100)))
-        assert abs(value - want) <= 1e-15 * max(1.0, want), jj
