@@ -123,40 +123,48 @@ def _logsumexp_unimodal(logterm, lo: int, hi: int, descending: bool = False) -> 
     return gmax + math.log(acc) if gmax > _NEG_INF else _NEG_INF
 
 
-def _binom_lower_logsum(n: int, p: float, i: int) -> float:
-    """log P(Binomial(n+1, p) <= i), summed from k = i downward."""
-    return _logsumexp_unimodal(lambda k: log_binom_pmf(k, n + 1, p), 0, i, descending=True)
+def _log_q(p: float) -> float:
+    """log(1 - p), -inf at p = 1: there every later power of q is exactly zero."""
+    return math.log1p(-p) if p < 1.0 else _NEG_INF
 
 
 def _binom_tails(n: int, p: float, i: int) -> tuple[float, float]:
-    """(log P(Binomial(n+1, p) <= i), log P(Binomial(n+1, p) > i)) for p < 1.
+    """(log P(Binomial(n+1, p) <= i), log P(Binomial(n+1, p) > i)) for i <= n.
 
     The smaller side is summed directly in log domain, from i outward, and
     the other is recovered through log1p; summing the small side avoids the
     catastrophic cancellation of 1 - (other side) when it is itself tiny.
     The 60-nat cut-off bounds the cost by O(min(i, sd)) terms, not O(n).
+    At p = 1 all n+1 trials succeed, so the tails are (0, 1) with no sum.
     """
+    if p == 1.0:  # every term below k = n+1 is -inf: a scan would never stop early
+        return _NEG_INF, 0.0
+
+    def logterm(k):
+        return log_binom_pmf(k, n + 1, p)
+
     mode = int((n + 2) * p)
     if i < mode:
         # lower tail is the small side (at most ~0.7); complement is safe
-        low = _binom_lower_logsum(n, p, i)
+        low = _logsumexp_unimodal(logterm, 0, i, descending=True)
         return low, math.log1p(-math.exp(low))
     # upper tail is the small side: sum k = i+1 .. n+1 directly
-    up = _logsumexp_unimodal(lambda k: log_binom_pmf(k, n + 1, p), i + 1, n + 1)
+    up = _logsumexp_unimodal(logterm, i + 1, n + 1)
     return math.log1p(-math.exp(up)), up
 
 
 def _series_stop(p: float, i: int) -> int:
-    """First J >= i-1 with P(Binomial(J+1, p) <= i-1) < 2**-55, for p < 1.
+    """First J >= i with P(Binomial(J+1, p) <= i-1) < 2**-55.
 
     That probability is the relative tail of the survivor-weight series
     dropped after j = J; it decreases in J, so a doubling search followed by
     bisection finds J in O(log J) tail evaluations of at most O(i) each.
+    At p = 1 every tail is zero and the search returns J = i.
     """
     def converged(J: int) -> bool:
-        return _binom_lower_logsum(J, p, i - 1) < _LOG_TAIL_BOUND
+        return _binom_tails(J, p, i - 1)[0] < _LOG_TAIL_BOUND
 
-    # the tail at J = i-1 is 1 - p**i >= 1 - p >= 2**-53, so lo never converges
+    # the search starts above J = i-1, whose tail 1 - p**i is >= 2**-53 for p < 1
     lo, step = i - 1, math.ceil(i / p)
     while not converged(lo + step):
         lo, step = lo + step, 2 * step
@@ -173,8 +181,7 @@ def _log_survivor_weight(j, p: float, i: int) -> float | np.ndarray:
     Coefficient and explicit powers, not log_binom_pmf: that is 2x slower per block
     and up to 2.6x less accurate at p = 1e-30.
     """
-    log_q = math.log1p(-p) if p < 1.0 else _NEG_INF
-    return i * math.log(p) + log_binomial(j, i - 1) + log_pow(log_q, j - (i - 1))
+    return i * math.log(p) + log_binomial(j, i - 1) + log_pow(_log_q(p), j - (i - 1))
 
 
 @lru_cache(maxsize=32)
@@ -199,15 +206,14 @@ def _block_log_numerators(params: ModelParams, block: int) -> np.ndarray:
     out = np.full(min(_CHUNK, n - first + 1), _NEG_INF)
     last = min(first + out.size - 1, n - i + 1)
     if last >= first:
-        log_q = math.log1p(-p) if p < 1.0 else _NEG_INF
         m0 = n - last + 1  # U(m0) is the anchor, at d = last
         m = np.arange(m0, n - first + 1)
-        anchor = 0.0 if p == 1.0 else _binom_tails(m0 - 1, p, i - 1)[1]
+        anchor = _binom_tails(m0 - 1, p, i - 1)[1]
         lt = np.concatenate(([anchor], _log_survivor_weight(m, p, i)))
         top = float(lt.max())
         log_u = np.log(np.cumsum(np.exp(lt - top))) + top  # U(m0) .. U(n-first+1)
         d = np.arange(first, last + 1)
-        out[: d.size] = math.log(p) + log_pow(log_q, d - 1) + log_u[::-1]
+        out[: d.size] = math.log(p) + log_pow(_log_q(p), d - 1) + log_u[::-1]
     out.flags.writeable = False
     return out
 
@@ -248,8 +254,6 @@ def size_tail(n, p, i) -> LogProb:
     n = check_int(n, "n", 1, GRID_N_MAX)
     p = check_p(p)
     i = check_int(i, "i", 0, n)
-    if p == 1.0:
-        return LogProb.one()  # all n+1 points survive and i <= n
     return LogProb(_binom_tails(n, p, i)[1])
 
 
@@ -377,12 +381,10 @@ def cdf_scaled_closed_i1(n, p, d):
     p = check_p(p)
     # a plain int skips _check_steps: scalar calls come by the million
     d = check_int(d, "d", 1, n) if type(d) is int else _check_steps(d, n)
-    if p == 1.0:  # numerator and denominator both reduce to 1
-        return 1.0 if isinstance(d, int) else np.ones(d.shape)
     if (n + 1) * p < _CLOSED_FORM_MIN_NP:
         raise DomainError(f"the i=1 closed form needs (n+1)p >= {_CLOSED_FORM_MIN_NP}, "
                           f"got {(n + 1) * p!r} at n={n}, p={p!r}")
-    log_q = math.log1p(-p)
+    log_q = _log_q(p)  # -inf at p = 1, where both brackets are 1
     qn = math.exp(n * log_q)
     den = -math.expm1((n + 1) * log_q) - (n + 1) * p * qn
     if isinstance(d, int):  # spelled out twice: a nested function doubles a scalar call
@@ -414,10 +416,7 @@ def limit_pmf(p, d):
     d's shape.
     """
     p, x = check_p(p), np.asarray(_check_steps(d), dtype=np.float64)
-    if p == 1.0:
-        out = (x == 1.0).astype(np.float64)
-    else:
-        out = p * np.exp((x - 1.0) * math.log1p(-p))
+    out = p * np.exp(log_pow(_log_q(p), x - 1.0))
     return float(out) if np.ndim(d) == 0 else out
 
 
@@ -427,7 +426,7 @@ def limit_cdf(p, d):
     The result is a float, or an array of d's shape.
     """
     p, x = check_p(p), np.asarray(_check_steps(d), dtype=np.float64)
-    out = np.ones_like(x) if p == 1.0 else -np.expm1(x * math.log1p(-p))
+    out = -np.expm1(x * _log_q(p))
     return float(out) if np.ndim(d) == 0 else out
 
 
@@ -463,12 +462,10 @@ def binomial_sum_stop_index(p, i) -> int:
     """
     p = check_p(p)
     i = check_int(i, "i", 1)
-    if p == 1.0:
-        return i
     p_min = (3 * i + 20 * math.isqrt(i) + 90) / 2**996
     if p < p_min:
         raise DomainError(f"p={p!r} is below {p_min!r}, the smallest p supported at i={i}")
-    return max(i + int(math.ceil(60.0 / -math.log1p(-p))), _series_stop(p, i))
+    return max(i + int(math.ceil(60.0 / -_log_q(p))), _series_stop(p, i))
 
 
 def binomial_sum_partial(p, i, J) -> tuple[float, float]:
@@ -485,8 +482,7 @@ def binomial_sum_partial(p, i, J) -> tuple[float, float]:
     p = check_p(p)
     i = check_int(i, "i", 1)
     J = check_int(J, "J", 0)
-    q = 1.0 - p
-    log_q = math.log1p(-p) if p < 1.0 else _NEG_INF
+    q, log_q = 1.0 - p, _log_q(p)
 
     def term(j: int) -> float:
         c = math.comb(j, i - 1)
@@ -499,11 +495,8 @@ def binomial_sum_partial(p, i, J) -> tuple[float, float]:
         partial = math.fsum(term(j) for j in range(i - 1, J + 1))
     except OverflowError:  # a term, or the running sum, beyond the largest double
         partial = math.inf
-    if p == 1.0:
-        closed = 1.0 if i == 1 else 0.0
-    else:
-        log_closed = (i - 1) * log_q - i * math.log(p)
-        closed = math.exp(log_closed) if log_closed < 709.0 else math.inf
+    log_closed = log_pow(log_q, i - 1) - i * math.log(p)
+    closed = math.exp(log_closed) if log_closed < 709.0 else math.inf
     return partial, closed
 
 
@@ -517,6 +510,4 @@ def binomial_cdf_tail_check(n, p, i) -> LogProb:
     n = check_int(n, "n", 1, GRID_N_MAX)
     p = check_p(p)
     i = check_int(i, "i", 0, n)
-    if p == 1.0:
-        return LogProb.zero()
     return LogProb(min(_binom_tails(n, p, i)[0], 0.0))

@@ -197,17 +197,24 @@ def log_binomial(m, k) -> float | np.ndarray:
 
     Stirling form: k log1p((m-k)/k) + (m-k) log1p(k/(m-k)) plus the small
     Stirling-error terms, accurate to a few ulp of the result at any m.
+    A scalar k (the exact law's i-1) stays a scalar, so its terms are
+    evaluated once; when every entry has 0 < k < m no mask is applied.
     """
-    m, k = np.broadcast_arrays(np.asarray(m, dtype=np.float64),
-                               np.asarray(k, dtype=np.float64))
-    out = np.where((k == 0) | (k == m), 0.0, _NEG_INF)
+    m, k = np.asarray(m, dtype=np.float64), np.asarray(k, dtype=np.float64)
     inner = (k > 0) & (k < m)
+    if inner.all():
+        return _as_result(_log_binomial_inner(k, m))
+    m, k = np.broadcast_arrays(m, k)
+    out = np.where((k == 0) | (k == m), 0.0, _NEG_INF)
     if inner.any():
-        kk, mm = k[inner], m[inner]
-        rest = mm - kk
-        out[inner] = (_stirling_core(kk, mm) + kk * np.log1p(rest / kk)
-                      + rest * np.log1p(kk / rest))
+        out[inner] = _log_binomial_inner(k[inner], m[inner])
     return _as_result(out)
+
+
+def _log_binomial_inner(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log C(m, k) for 0 < k < m, either argument broadcast against the other."""
+    rest = m - k
+    return _stirling_core(k, m) + k * np.log1p(rest / k) + rest * np.log1p(k / rest)
 
 
 def log_binom_pmf(k, m, p: float) -> float | np.ndarray:

@@ -126,9 +126,34 @@ class EmpiricalDistribution:
         return d, c
 
 
+def _walk_trial(rng: np.random.Generator, n: int, p: float,
+                i: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One trial of i+1 steps, drawn at most _BLOCK_DRAWS at a time.
+
+    Only the position and the last step are kept, so memory is O(_BLOCK_DRAWS)
+    whatever i is; the walk stops once the position passes n + 1.  Draws are
+    consumed in order, so the outcome equals that of the whole-row draw.  Time
+    stays O(i+1): the trial simulates the model step by step, not the
+    negative-binomial law of its position.
+    """
+    position, left = 0.0, i + 1
+    while left:
+        steps = rng.geometric(p, min(left, _BLOCK_DRAWS))
+        np.minimum(steps, n + 1, out=steps)
+        # exact while <= n + 1 < 2**53, and rounding is monotone above
+        position += steps.sum(dtype=np.float64)
+        if position > n + 1:
+            return np.empty(0, np.int64), np.empty(0, np.intp), 1
+        left, last = left - steps.size, steps[-1]
+        del steps  # free this piece before the next one is drawn
+    return np.array([last]), np.ones(1, np.intp), 0
+
+
 def _simulate_block(child: np.random.SeedSequence, n: int, p: float, i: int,
                     rows: int) -> tuple[np.ndarray, np.ndarray, int]:
     rng = np.random.default_rng(child)
+    if i + 1 > _BLOCK_DRAWS:  # a block is then one trial (rows == 1)
+        return _walk_trial(rng, n, p, i)
     steps = rng.geometric(p, (rows, i + 1))  # survivor k sits at steps[:k+1].sum() - 1
     np.minimum(steps, n + 1, out=steps)
     # float64 sums are exact up to 2**53 > n + 1 and round monotonically, so
@@ -146,7 +171,9 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     any n, and is discarded when that survivor lies beyond the grid.  Blocks
     hold a fixed number of draws, so the partitioning depends on (trials, i)
     alone; they run on one thread per CPU, up to one per block, and results
-    never depend on that number.
+    never depend on that number.  A trial longer than a block's draws is a
+    block of its own, walked in pieces, so memory stays O(_BLOCK_DRAWS) per
+    thread while time is O(trials (i+1)).
     """
     trials = check_int(trials, "trials", 1)
     params = ModelParams(n, p, i)

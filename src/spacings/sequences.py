@@ -28,7 +28,7 @@ class PointSet:
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 1 or pts.size < 1:
             raise DomainError("a point set needs a 1-D array of at least one point")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):  # NaN fails both
             raise DomainError("points must lie in [0, 1]")
         if np.any(np.diff(pts) <= 0.0):
             raise DomainError("points must be strictly increasing")
@@ -79,4 +79,8 @@ def rotation(alpha, count) -> PointSet:
     if not math.isfinite(alpha):
         raise DomainError(f"alpha={alpha} must be finite")
     vals = np.mod(np.arange(1, count + 1) * alpha, 1.0)
-    return PointSet(np.unique(vals), f"rotation({alpha!r},{count})")
+    # sort and keep each value unlike its predecessor: np.unique would import numpy.ma
+    vals.sort()
+    fresh = np.ones(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=fresh[1:])
+    return PointSet(vals[fresh], f"rotation({alpha!r},{count})")

@@ -454,6 +454,20 @@ def test_stdout_does_not_depend_on_buffering(capsys, fmt):
         assert proc.stdout == expected
 
 
+def test_rotation_sample_does_not_import_numpy_ma():
+    # numpy.ma is about 13 ms of a process's start-up; np.unique imports it
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from spacings.cli import run; "
+            "code = run(['seq-sample', '--alpha', '0.6180339887498949', '--count', '20000', "
+            "'--p', '0.1']); print('numpy.ma' in sys.modules, code)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"
+
+
 _EDGE_P = ["5e-324", "1e-300", "1"]
 # n = 1, i = n, n = 10**12, the largest grid and sizes past it
 _EDGE_NI = [(1, 1), (7, 7), (10**12, 1), (10**12, 3), (10**12, 10**12), (GRID_N_MAX, 3),
@@ -475,9 +489,13 @@ def _edge_argvs() -> list[list[str]]:
                 ["oracle", "--n", str(n), "--p", str(Fraction(float(p))), "--i", str(i)],
                 ["seq-sample", "--Q", "1", "--p", p],
             ]
-            # a Monte Carlo trial walks i+1 geometric steps, so sample takes i = n at n = 7
+            # a Monte Carlo trial walks i+1 geometric steps, so sample takes i = n at
+            # n = 7 here and at n = 10**6 below, in pieces of bounded memory
             if i <= 10**6:
                 argvs.append(["sample", *model, "--trials", "50", "--seed", "1"])
+    for p in _EDGE_P:
+        argvs.append(["sample", "--n", "1000000", "--p", p, "--i", "1000000",
+                      "--trials", "2", "--seed", "1"])
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spacings as sp
-from spacings import oracle
+from spacings import distribution, oracle
 from spacings.cli import run
 from spacings.distribution import (
     GRID_N_MAX,
@@ -254,6 +254,9 @@ class TestCdf:
     def test_closed_form_p_one(self):
         assert sp.cdf_scaled_closed_i1(10, 1.0, 1) == 1.0
         assert sp.cdf_scaled_closed_i1(10, 1.0, 7) == 1.0
+        for n in (1, 10, 10**12):
+            d = np.arange(1, min(n, 5000) + 1)
+            assert np.array_equal(sp.cdf_scaled_closed_i1(n, 1.0, d), np.ones(d.size))
 
     def test_closed_form_huge_n_hits_the_limit(self):
         assert abs(sp.cdf_scaled_closed_i1(50000, 0.1, 1) - 0.1) < 1e-12
@@ -319,7 +322,7 @@ class TestCdf:
 class TestLimitLaw:
     @pytest.mark.parametrize(
         "p,d,expected",
-        [(0.5, 1, 0.5), (0.1, 10, 1 - 0.9**10), (1.0, 3, 1.0)],
+        [(0.5, 1, 0.5), (0.1, 10, 1 - 0.9**10), (1.0, 3, 1.0), (1.0, 1, 1.0)],
     )
     def test_cdf(self, p, d, expected):
         assert sp.limit_cdf(p, d) == pytest.approx(expected, rel=1e-14)
@@ -411,7 +414,8 @@ class TestBinomialSum:
             previous = partial
 
     def test_stop_index_rule(self):
-        assert sp.binomial_sum_stop_index(1.0, 4) == 4
+        for i in (1, 4, 10**12):  # at p = 1 the series stops at its first term
+            assert sp.binomial_sum_stop_index(1.0, i) == i
         expected = 3 + math.ceil(60 / -math.log1p(-0.2))
         assert sp.binomial_sum_stop_index(0.2, 3) == expected
 
@@ -649,9 +653,24 @@ class TestTailEdges:
         assert sp.size_tail(1, 0.3, 0).prob == pytest.approx(0.51, rel=1e-14)
         assert sp.binomial_cdf_tail_check(1, 0.3, 0).prob == pytest.approx(0.49, rel=1e-14)
 
-    def test_p_one(self):
-        assert sp.size_tail(1, 1.0, 1).log == 0.0
-        assert sp.binomial_cdf_tail_check(1, 1.0, 1).is_zero
+    def test_p_one(self, monkeypatch):
+        # every point survives: exact tails and masses with no binomial term
+        # evaluated, so i = n = 10**12 costs no scan over i
+        def no_terms(*args):
+            raise AssertionError("a binomial term was evaluated at p = 1")
+
+        monkeypatch.setattr(distribution, "log_binom_pmf", no_terms)
+        _table_masses.cache_clear()
+        _block_log_numerators.cache_clear()
+        for n, i in [(1, 0), (1, 1), (5, 3), (10**12, 10**12)]:
+            start = time.perf_counter()
+            upper = sp.size_tail(n, 1.0, i).log
+            assert upper == 0.0 and math.copysign(1.0, upper) == 1.0
+            assert sp.binomial_cdf_tail_check(n, 1.0, i).log == -math.inf
+            if i > 0:
+                mass, cdf = sp.spacing_distribution(sp.ModelParams(n, 1.0, i)).head(min(n, 5))
+                assert mass[0] == 1.0 and not mass[1:].any() and np.all(cdf == 1.0)
+            assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("descending", [False, True])
     def test_running_sum_rescales_when_a_later_chunk_raises_the_maximum(self, descending):

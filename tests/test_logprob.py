@@ -118,3 +118,13 @@ def test_log_binomial_against_exact_integers(m):
     assert log_binomial(m, 0) == 0.0 and log_binomial(m, m) == 0.0
     assert log_binomial(m, m + 1) == -math.inf and log_binomial(m, -1) == -math.inf
 
+
+@pytest.mark.parametrize("k", [1, 2, 9, 15, 16, 63, 64, 1000])
+def test_log_binomial_scalar_k_equals_the_masked_path(k):
+    # the exact law's call: one lower index against a block of upper ones.
+    # The reference is the per-element path: a k == m entry forces the mask.
+    m = np.concatenate((np.arange(k + 1, k + 4097), 10.0 ** np.arange(4, 13)))
+    masked = log_binomial(np.append(m, k), np.full(m.size + 1, k))
+    assert masked[-1] == 0.0
+    assert np.array_equal(log_binomial(m, k), masked[:-1])
+    assert np.array_equal(log_binomial(m, np.full(m.size, k)), masked[:-1])

@@ -177,6 +177,35 @@ class TestCollectEmpirical:
         assert emp.total + emp.discarded == 10_000
         assert peak < 4 * 2**20
 
+    @staticmethod
+    def _whole_row_reference(n, p, i, trials, seed):
+        """One block per trial, each drawing its i+1 steps as one row."""
+        counts, discarded = {}, 0
+        for child in np.random.SeedSequence(seed).spawn(trials):
+            steps = np.minimum(np.random.default_rng(child).geometric(p, (1, i + 1)), n + 1)
+            if steps.sum(dtype=np.float64) <= n + 1:
+                counts[int(steps[0, i])] = counts.get(int(steps[0, i]), 0) + 1
+            else:
+                discarded += 1
+        return counts, discarded
+
+    def test_long_trials_walk_in_bounded_memory(self, monkeypatch):
+        # i+1 = 2**20 steps is four pieces; a whole row would hold 8 MiB.
+        # Survivor i+1 sits near (i+1)/p = n + 1, so trials are kept and discarded.
+        i, p, trials, seed = 2**20 - 1, 0.5, 8, 12
+        n = 2**21 - 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # each thread holds one piece
+        tracemalloc.start()
+        try:
+            emp = sp.collect_empirical(n, p, i, trials, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        counts, discarded = self._whole_row_reference(n, p, i, trials, seed)
+        assert emp.counts == counts and emp.discarded == discarded
+        assert 0 < discarded < trials
+
     @pytest.mark.parametrize("n, p, i", [
         (1, Fraction(1, 2), 1),
         (6, Fraction(3, 10), 2),

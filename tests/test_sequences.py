@@ -81,11 +81,20 @@ class TestRotation:
         assert np.all(np.diff(pts) > 0)
         assert pts[0] >= 0.0 and pts[-1] < 1.0
 
+    @pytest.mark.parametrize("alpha,count", [(0.1, 1000), (1 / 3, 3000), (0.75, 9),
+                                             (123456.789, 5000), (0.6180339887498949, 20000)])
+    def test_deduplication_equals_unique(self, alpha, count):
+        orbit = np.mod(np.arange(1, count + 1) * alpha, 1.0)
+        assert np.array_equal(sp.rotation(alpha, count).points, np.unique(orbit))
+
     def test_invalid(self):
         with pytest.raises(DomainError):
             sp.rotation(0.1, 0)
         with pytest.raises(DomainError):
             sp.rotation(float("inf"), 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # k alpha overflows to inf, then NaN
+            with pytest.raises(DomainError):
+                sp.rotation(1.7e308, 5)
 
 
 class TestPointSet:
@@ -96,6 +105,8 @@ class TestPointSet:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             sp.PointSet(np.array([0.0, 1.5]), "bad")
+        with pytest.raises(DomainError):
+            sp.PointSet(np.array([0.0, math.nan]), "bad")
 
     def test_points_are_read_only(self):
         ps = sp.grid(4)
