@@ -1,19 +1,35 @@
 """Seedable Monte Carlo engine for Bernoulli thinning.
 
 Thinning is simulated by waiting times: the index steps to the first
-survivor (from -1) and between survivors are i.i.d. Geometric(p), so walking
-them with ``Generator.geometric`` simulates the model itself at a cost
-proportional to the survivors visited, not the points (Devroye,
+survivor (from -1) and between survivors are i.i.d. Geometric(p), so
+drawing them with ``Generator.geometric`` simulates the model itself at a
+cost proportional to the survivors visited, not the points (Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. X).  A step past the
 last point is clipped to end just beyond it, which changes no outcome.
 
+A grid trial needs two waiting times: the i steps to survivor i, taken
+together, and the next step, which is the spacing.  The i steps sum to
+i + NegBin(i, p), the failures before the i-th success, and that count is
+drawn whole as Poisson(Gamma(i, q/p)), the gamma mixture of Poissons
+(Devroye, ch. X).  So a trial is three draws, gamma, Poisson and
+geometric, and costs O(1) whatever n and i are.  It still simulates the
+process, not the formula: the draws are the process's waiting times, made
+by numpy's gamma, Poisson and geometric generators, and never touch the
+exact law or its binomial-tail kernel.
+
+numpy refuses Poisson means above about 9.2e18, so the mean is capped at
+2**62.  A mean that large puts survivor i past every grid (its index + 1
+must be at most n + 1 <= 2**53) except with probability below exp(-2**61),
+capped or not, so the cap changes no outcome beyond that probability.
+
 Reproducibility contract: a given (parameters, seed) pair produces
-bit-identical results on every run of the same build.  Large trial counts
-are partitioned into blocks of a fixed number of draws, so the block layout
-is a function of (trials, i) alone; block b draws from a child of
+bit-identical results on every run of the same build.  Trials are
+partitioned into blocks of a fixed size, so the block layout is a function
+of trials alone; block b draws from child b of
 ``numpy.random.SeedSequence(seed)``, and block results merge by addition,
-so the outcome is independent of how many threads run them.  Blocks run on
-as many threads as the machine has CPUs.
+so the outcome depends on (trials, seed) and the model alone, never on how
+many threads run the blocks.  Blocks run on as many threads as the machine
+has CPUs.
 """
 
 from __future__ import annotations
@@ -29,7 +45,8 @@ from .distribution import ModelParams
 from .errors import DomainError, check_int, check_p
 from .sequences import PointSet
 
-_BLOCK_DRAWS = 1 << 18  # geometric waiting times drawn per block
+_BLOCK_TRIALS = 1 << 16  # grid trials drawn per block
+_LAM_CAP = 2.0**62  # below numpy's largest Poisson mean; see the module docstring
 _SUBSET_SIGMAS = 6.0  # sample_subset draws beyond the expected survivor count
 # Generator.geometric saturates at 2**63 - 1 for waiting times >= 2**63,
 # which below this p happen with probability above exp(-128) per draw.
@@ -126,64 +143,42 @@ class EmpiricalDistribution:
         return d, c
 
 
-def _walk_trial(rng: np.random.Generator, n: int, p: float,
-                i: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """One trial of i+1 steps, drawn at most _BLOCK_DRAWS at a time.
-
-    Only the position and the last step are kept, so memory is O(_BLOCK_DRAWS)
-    whatever i is; the walk stops once the position passes n + 1.  Draws are
-    consumed in order, so the outcome equals that of the whole-row draw.  Time
-    stays O(i+1): the trial simulates the model step by step, not the
-    negative-binomial law of its position.
-    """
-    position, left = 0.0, i + 1
-    while left:
-        steps = rng.geometric(p, min(left, _BLOCK_DRAWS))
-        np.minimum(steps, n + 1, out=steps)
-        # exact while <= n + 1 < 2**53, and rounding is monotone above
-        position += steps.sum(dtype=np.float64)
-        if position > n + 1:
-            return np.empty(0, np.int64), np.empty(0, np.intp), 1
-        left, last = left - steps.size, steps[-1]
-        del steps  # free this piece before the next one is drawn
-    return np.array([last]), np.ones(1, np.intp), 0
-
-
 def _simulate_block(child: np.random.SeedSequence, n: int, p: float, i: int,
                     rows: int) -> tuple[np.ndarray, np.ndarray, int]:
     rng = np.random.default_rng(child)
-    if i + 1 > _BLOCK_DRAWS:  # a block is then one trial (rows == 1)
-        return _walk_trial(rng, n, p, i)
-    steps = rng.geometric(p, (rows, i + 1))  # survivor k sits at steps[:k+1].sum() - 1
-    np.minimum(steps, n + 1, out=steps)
-    # float64 sums are exact up to 2**53 > n + 1 and round monotonically, so
-    # the test below is exact; an int64 sum could overflow for large i * n.
-    kept = steps.sum(axis=1, dtype=np.float64) <= n + 1  # survivor i+1 on the grid
+    # (gamma q) / p, not gamma (q / p): a zero gamma draw gives 0, not 0 * inf = nan,
+    # where q / p overflows; an overflow to inf is then capped
+    with np.errstate(over="ignore"):
+        lam = np.minimum(rng.standard_gamma(i, rows) * (1.0 - p) / p, _LAM_CAP)
+    failures = np.minimum(rng.poisson(lam), n + 1)  # survivor i sits at i + failures - 1
+    steps = np.minimum(rng.geometric(p, rows), n + 1)  # survivor i to i + 1: the spacing
+    # survivor i+1 on the grid; the int64 sum is at most 2 (n + 1) <= 2**54
+    kept = failures + steps <= n + 1 - i
     # unique, not bincount: spacings can reach n, far beyond the row count
-    values, counts = np.unique(steps[kept, i], return_counts=True)
+    values, counts = np.unique(steps[kept], return_counts=True)
     return values, counts, rows - int(np.count_nonzero(kept))
 
 
 def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     """Thin grid(n) repeatedly and histogram the i-th scaled spacing.
 
-    A trial walks to the (i+1)-th survivor in i+1 geometric steps, O(i) for
-    any n, and is discarded when that survivor lies beyond the grid.  Blocks
-    hold a fixed number of draws, so the partitioning depends on (trials, i)
-    alone; they run on one thread per CPU, up to one per block, and results
-    never depend on that number.  A trial longer than a block's draws is a
-    block of its own, walked in pieces, so memory stays O(_BLOCK_DRAWS) per
-    thread while time is O(trials (i+1)).
+    A trial draws the wait to the i-th survivor whole, as i plus a
+    Poisson(Gamma(i, q/p)) failure count, then one geometric step to the
+    (i+1)-th survivor, which is the spacing; the trial is discarded when that
+    survivor lies beyond the grid.  Three draws per trial make the cost
+    O(trials) whatever n and i are, with O(_BLOCK_TRIALS) memory per thread.
+    Blocks hold a fixed number of trials, so the partitioning depends on
+    trials alone and the seeds on seed alone; they run on one thread per
+    CPU, up to one per block, and results never depend on that number.
     """
     trials = check_int(trials, "trials", 1)
     params = ModelParams(n, p, i)
     n, p, i = params.n, params.p, params.i
     seed = check_int(seed, "seed", 0, _SEED_MAX)
 
-    rows_per_block = max(1, _BLOCK_DRAWS // (i + 1))
-    n_blocks = (trials + rows_per_block - 1) // rows_per_block
+    n_blocks = (trials + _BLOCK_TRIALS - 1) // _BLOCK_TRIALS
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-    sizes = [min(rows_per_block, trials - b * rows_per_block) for b in range(n_blocks)]
+    sizes = [min(_BLOCK_TRIALS, trials - b * _BLOCK_TRIALS) for b in range(n_blocks)]
 
     with ThreadPoolExecutor(min(os.cpu_count() or 1, n_blocks)) as pool:
         results = list(

@@ -72,12 +72,13 @@ def rotation(alpha, count) -> PointSet:
     """The sorted orbit {k * alpha mod 1 : k = 1..count}.
 
     Irrational alpha never repeats; for rational alpha duplicates are
-    dropped, and an exact hit on 0 is kept as a point.
+    dropped, and an exact hit on 0 is kept as a point.  count * alpha must
+    be finite in float64.
     """
     count = check_int(count, "count", 1)
     alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha={alpha} must be finite")
+    if not math.isfinite(count * alpha):  # the orbit's last point, before mod 1
+        raise DomainError(f"count * alpha = {count} * {alpha!r} must be finite")
     vals = np.mod(np.arange(1, count + 1) * alpha, 1.0)
     # sort and keep each value unlike its predecessor: np.unique would import numpy.ma
     vals.sort()

@@ -474,6 +474,9 @@ _EDGE_NI = [(1, 1), (7, 7), (10**12, 1), (10**12, 3), (10**12, 10**12), (GRID_N_
             (GRID_N_MAX + 1, 1), (10**30, 3), (10**301, 3)]
 
 
+_ROTATION_OVERFLOW = ["seq-sample", "--alpha", "1.7e308", "--count", "5", "--p", "0.5"]
+
+
 def _edge_argvs() -> list[list[str]]:
     argvs = []
     for n, i in _EDGE_NI:
@@ -488,19 +491,30 @@ def _edge_argvs() -> list[list[str]]:
                 ["sweep", "--p", p, "--i", str(i), "--n-list", str(n), "--d-max", "1"],
                 ["oracle", "--n", str(n), "--p", str(Fraction(float(p))), "--i", str(i)],
                 ["seq-sample", "--Q", "1", "--p", p],
+                ["sample", *model, "--trials", "50", "--seed", "1"],
             ]
-            # a Monte Carlo trial walks i+1 geometric steps, so sample takes i = n at
-            # n = 7 here and at n = 10**6 below, in pieces of bounded memory
-            if i <= 10**6:
-                argvs.append(["sample", *model, "--trials", "50", "--seed", "1"])
     for p in _EDGE_P:
         argvs.append(["sample", "--n", "1000000", "--p", p, "--i", "1000000",
                       "--trials", "2", "--seed", "1"])
+    argvs.append(_ROTATION_OVERFLOW)
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", _edge_argvs(), ids=" ".join)
 def test_domain_edges_end_in_an_exit_code(capsys, argv):
     assert run(argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+def test_overflowing_rotation_writes_one_error_line():
+    # k alpha overflows float64: refused before numpy can warn on stderr
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "spacings", *_ROTATION_OVERFLOW], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")

@@ -1,11 +1,12 @@
 import math
 import os
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, chi2_contingency
 
 import spacings as sp
 from spacings import sampler
@@ -38,6 +39,14 @@ def _chi_square_pvalue(counts, masses):
     if obs.size == 1:
         return 1.0 if obs[0] == counts.sum() else 0.0
     return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), obs.size - 1))
+
+
+def _two_sample_pvalue(a, b):
+    """Homogeneity of two histograms on one support, pooling cells with fewer than 10."""
+    big = a + b >= 10
+    table = np.array([np.append(a[big], a[~big].sum()), np.append(b[big], b[~big].sum())])
+    table = table[:, table.sum(axis=0) > 0]
+    return float(chi2_contingency(table)[1])
 
 
 class TestSampleSubset:
@@ -117,10 +126,17 @@ class TestCollectEmpirical:
         assert emp.total == 10
         assert emp.discarded == 0
 
-    def test_discard_rate_matches_size_tail(self):
+    @pytest.mark.parametrize("n, p, i", [
+        (10, 0.3, 2),
+        (2**53 - 2, 3e-19, 1),  # a quarter of the Poisson means reach the cap
+        (2**53 - 2, 1e-17, 1),
+        (2**53 - 2, 1e-16, 3),
+        (10**12, 1e-11, 2),
+    ])
+    def test_discard_rate_matches_size_tail(self, n, p, i):
         trials = 1_000_000
-        emp = sp.collect_empirical(10, 0.3, 2, trials, 2024)
-        tail = sp.size_tail(10, 0.3, 2).prob
+        emp = sp.collect_empirical(n, p, i, trials, 2024)
+        tail = sp.size_tail(n, p, i).prob
         se = math.sqrt(tail * (1 - tail) / trials)
         assert abs(emp.total / trials - tail) < 4 * se
         assert emp.total + emp.discarded == trials
@@ -145,7 +161,7 @@ class TestCollectEmpirical:
         return emp, threads[0]
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        args = (400, 0.2, 2, 200_000, 77)  # three blocks at i = 2
+        args = (400, 0.2, 2, 2 * sampler._BLOCK_TRIALS + 7, 77)  # three blocks
         base, threads = self._with_cpus(monkeypatch, 1, *args)
         assert threads == 1
         for cpus in (3, 4):
@@ -155,7 +171,7 @@ class TestCollectEmpirical:
             assert base.discarded == threaded.discarded
 
     def test_workers_across_several_blocks(self, monkeypatch):
-        trials = 3 * (sampler._BLOCK_DRAWS // 2) + 7  # four blocks at i = 1
+        trials = 3 * sampler._BLOCK_TRIALS + 7  # four blocks
         args = (10**6, 0.01, 1, trials, 91)
         base = self._with_cpus(monkeypatch, 1, *args)[0]
         # os.cpu_count() is None when the count is unknown: one thread
@@ -179,32 +195,53 @@ class TestCollectEmpirical:
 
     @staticmethod
     def _whole_row_reference(n, p, i, trials, seed):
-        """One block per trial, each drawing its i+1 steps as one row."""
-        counts, discarded = {}, 0
-        for child in np.random.SeedSequence(seed).spawn(trials):
-            steps = np.minimum(np.random.default_rng(child).geometric(p, (1, i + 1)), n + 1)
-            if steps.sum(dtype=np.float64) <= n + 1:
-                counts[int(steps[0, i])] = counts.get(int(steps[0, i]), 0) + 1
-            else:
-                discarded += 1
-        return counts, discarded
+        """The per-step walk: each trial draws its i+1 geometric steps as one row.
 
-    def test_long_trials_walk_in_bounded_memory(self, monkeypatch):
-        # i+1 = 2**20 steps is four pieces; a whole row would hold 8 MiB.
-        # Survivor i+1 sits near (i+1)/p = n + 1, so trials are kept and discarded.
-        i, p, trials, seed = 2**20 - 1, 0.5, 8, 12
-        n = 2**21 - 1
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # each thread holds one piece
+        Returns the histogram of the i-th spacing over d = 1..n and the
+        discard count.
+        """
+        rng = np.random.default_rng(seed)
+        counts, discarded = np.zeros(n + 1, np.int64), 0
+        for start in range(0, trials, 1000):
+            steps = np.minimum(rng.geometric(p, (min(1000, trials - start), i + 1)), n + 1)
+            kept = steps.sum(axis=1) <= n + 1  # survivor i+1 on the grid
+            counts += np.bincount(steps[kept, i], minlength=n + 1)
+            discarded += int(np.count_nonzero(~kept))
+        return counts[1:], discarded
+
+    def test_agrees_in_law_with_the_per_step_walk(self):
+        # survivor i+1 sits near (i+1)/p - 1 = n - 1, so about half the trials are kept
+        n, p, i, trials = 2000, 0.5, 999, 20_000
+        emp = sp.collect_empirical(n, p, i, trials, 12)
+        drawn = np.array([emp.counts.get(d, 0) for d in range(1, n + 1)])
+        walked, walk_discarded = self._whole_row_reference(n, p, i, trials, 13)
+        tail = sp.size_tail(n, p, i).prob
+        se = math.sqrt(trials * tail * (1 - tail))
+        for counts, discarded in ((drawn, emp.discarded), (walked, walk_discarded)):
+            assert counts.sum() + discarded == trials
+            assert abs(counts.sum() - trials * tail) <= 4 * se
+        assert _two_sample_pvalue(drawn, walked) > 1e-4
+
+    @pytest.mark.parametrize("n, p, i, trials", [
+        (2**21 - 1, 0.5, 2**20 - 1, 2000),  # the walk: 2**20 steps, 8 MiB a trial
+        (10**12, 1.0, 10**12, 50),
+        (10**12, 0.5, 10**12, 50),
+    ])
+    def test_long_trials_in_bounded_time_and_memory(self, n, p, i, trials):
+        # a trial is three draws, so neither time nor memory follows i
         tracemalloc.start()
         try:
-            emp = sp.collect_empirical(n, p, i, trials, seed)
+            start = time.perf_counter()
+            emp = sp.collect_empirical(n, p, i, trials, 12)
+            elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
-        counts, discarded = self._whole_row_reference(n, p, i, trials, seed)
-        assert emp.counts == counts and emp.discarded == discarded
-        assert 0 < discarded < trials
+        assert elapsed < 1.0, elapsed
+        assert emp.total + emp.discarded == trials
+        if p == 1.0:
+            assert emp.counts == {1: trials}
 
     @pytest.mark.parametrize("n, p, i", [
         (1, Fraction(1, 2), 1),
@@ -227,6 +264,20 @@ class TestCollectEmpirical:
             se = math.sqrt(trials * tail * (1 - tail))
             assert abs(counts.sum() - trials * tail) <= 4 * se
             assert _chi_square_pvalue(counts, masses) > 1e-4
+
+    @pytest.mark.parametrize("n, p, i", [(3000, 0.3, 500), (2 * 10**6, 0.5, 10**6)])
+    def test_agrees_in_law_with_exact_table_at_large_i(self, n, p, i):
+        trials, k = 200_000, 2000
+        mass = sp.spacing_distribution(sp.ModelParams(n, p, i)).head(min(k, n))[0]
+        emp = sp.collect_empirical(n, p, i, trials, 909)
+        counts = np.array([emp.counts.get(d, 0) for d in range(1, mass.size + 1)])
+        tail = sp.size_tail(n, p, i).prob
+        se = math.sqrt(trials * tail * (1 - tail))
+        assert abs(emp.total - trials * tail) <= 4 * se
+        # one last cell for d past the head
+        counts = np.append(counts, emp.total - counts.sum())
+        masses = np.append(mass, max(0.0, 1.0 - mass.sum()))
+        assert _chi_square_pvalue(counts, masses) > 1e-4
 
     def test_invalid(self):
         with pytest.raises(DomainError):

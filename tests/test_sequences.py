@@ -87,14 +87,17 @@ class TestRotation:
         orbit = np.mod(np.arange(1, count + 1) * alpha, 1.0)
         assert np.array_equal(sp.rotation(alpha, count).points, np.unique(orbit))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid(self):
         with pytest.raises(DomainError):
             sp.rotation(0.1, 0)
         with pytest.raises(DomainError):
             sp.rotation(float("inf"), 3)
-        with np.errstate(over="ignore", invalid="ignore"):  # k alpha overflows to inf, then NaN
-            with pytest.raises(DomainError):
-                sp.rotation(1.7e308, 5)
+        # k alpha would overflow to inf, then NaN: refused before numpy warns
+        with pytest.raises(DomainError, match="finite"):
+            sp.rotation(1.7e308, 5)
+        with pytest.raises(DomainError, match="finite"):
+            sp.rotation(-1e308, 2)
 
 
 class TestPointSet:
