@@ -2,15 +2,18 @@
 
 Every subcommand streams one table to stdout, as CSV (default) or a JSON
 array of objects with the same keys; diagnostics go to stderr.  Exit codes:
-0 success, 1 usage error, 2 domain error.  Floats are printed with 17
-significant digits so they round-trip exactly.
+0 success, 1 usage error or stdout closed by its reader, 2 domain error or
+an array too large to allocate.  Floats are printed with 17 significant
+digits so they round-trip exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -316,7 +319,39 @@ def run(argv) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an array the request asked for could not be allocated
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line on ``sys.argv`` and end the process.
+
+    After ``run`` returns, ``gc.freeze()`` moves every object the collector
+    tracks into its permanent generation, which no collection visits.  At
+    shutdown CPython clears ``sys.modules`` and runs full collections; those
+    would find the function/globals cycle of every module and free numpy's
+    and this package's graph (some 23,000 tracked objects and what they
+    hold) one object at a time.  Frozen, that graph is left for the
+    operating system to reclaim with the process.  On a 2-vCPU host
+    (Python 3.11, numpy 2.4) this cuts the time from the last ``atexit``
+    hook to EOF on stdout from 30-44 ms to 6-10 ms per invocation (fastest
+    of five, each of the benchmark's 15 requests).
+    ``atexit`` handlers, the worker-thread join and the final flush of the
+    standard streams still run, so output and exit codes do not change.
+    ``run`` itself does not freeze: callers that import the package or call
+    ``run`` keep a normal collector.
+
+    A reader that closes the pipe early (``spacings stream ... | head``)
+    ends the process with exit code 1 and nothing on stderr: stdout is
+    pointed at ``os.devnull`` so the interpreter's final flush cannot raise
+    ``BrokenPipeError`` again.
+    """
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not during shutdown
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    sys.exit(code)

@@ -73,9 +73,10 @@ def rotation(alpha, count) -> PointSet:
 
     Irrational alpha never repeats; for rational alpha duplicates are
     dropped, and an exact hit on 0 is kept as a point.  count * alpha must
-    be finite in float64.
+    be finite in float64, and count at most 2**53 so that every index k is
+    exact in float64.
     """
-    count = check_int(count, "count", 1)
+    count = check_int(count, "count", 1, 2**53)
     alpha = float(alpha)
     if not math.isfinite(count * alpha):  # the orbit's last point, before mod 1
         raise DomainError(f"count * alpha = {count} * {alpha!r} must be finite")

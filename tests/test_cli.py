@@ -1,4 +1,6 @@
 import csv
+import gc
+import importlib
 import io
 import json
 import os
@@ -16,6 +18,13 @@ import spacings as sp
 from spacings import cli
 from spacings.cli import run
 from spacings.distribution import GRID_N_MAX
+
+
+def _cli_env() -> dict[str, str]:
+    """This environment with the package's source directory first on PYTHONPATH."""
+    src = str(Path(sp.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _lines(capsys):
@@ -270,10 +279,7 @@ def test_module_entry_point_runs_the_cli(capsys):
     argv = ["pmf", "--n", "12", "--p", "1/3", "--i", "2"]
     assert run(argv) == 0
     expected, _ = capsys.readouterr()
-    src = str(Path(sp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == expected
@@ -302,11 +308,8 @@ def test_no_subcommand_imports_scipy():
              ["sweep", "--p", "0.3", "--i", "1", "--n-list", "10,100", "--d-max", "5"],
              ["oracle", "--n", "6", "--p", "1/3", "--i", "2"],
              ["seq-sample", "--Q", "8", "--p", "0.5"]]
-    src = str(Path(sp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"ARGVS = {argvs!r}\n{_IMPORT_GUARD}"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
@@ -444,9 +447,8 @@ def test_stdout_does_not_depend_on_buffering(capsys, fmt):
     argv = ["pmf", "--n", "5000", "--p", "0.01", "--i", "2", "--format", fmt]
     assert run(argv) == 0
     expected = capsys.readouterr()[0].encode()
-    src = str(Path(sp.__file__).resolve().parents[1])
-    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = _cli_env()
+    base.pop("PYTHONUNBUFFERED", None)
     for env in (base, {**base, "PYTHONUNBUFFERED": "1"}):
         proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=env,
                               capture_output=True, timeout=120)
@@ -456,13 +458,10 @@ def test_stdout_does_not_depend_on_buffering(capsys, fmt):
 
 def test_rotation_sample_does_not_import_numpy_ma():
     # numpy.ma is about 13 ms of a process's start-up; np.unique imports it
-    src = str(Path(sp.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys; from spacings.cli import run; "
             "code = run(['seq-sample', '--alpha', '0.6180339887498949', '--count', '20000', "
             "'--p', '0.1']); print('numpy.ma' in sys.modules, code)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False 0"
@@ -475,6 +474,9 @@ _EDGE_NI = [(1, 1), (7, 7), (10**12, 1), (10**12, 3), (10**12, 10**12), (GRID_N_
 
 
 _ROTATION_OVERFLOW = ["seq-sample", "--alpha", "1.7e308", "--count", "5", "--p", "0.5"]
+# 7.11 PiB of orbit indices, beyond any 48-bit address space; a count past float range
+_ROTATION_COUNTS = [["seq-sample", "--alpha", "0.5", "--count", str(10**15), "--p", "0.5"],
+                    ["seq-sample", "--alpha", "0.5", "--count", str(10**400), "--p", "0.5"]]
 
 
 def _edge_argvs() -> list[list[str]]:
@@ -496,7 +498,7 @@ def _edge_argvs() -> list[list[str]]:
     for p in _EDGE_P:
         argvs.append(["sample", "--n", "1000000", "--p", p, "--i", "1000000",
                       "--trials", "2", "--seed", "1"])
-    argvs.append(_ROTATION_OVERFLOW)
+    argvs += [_ROTATION_OVERFLOW, *_ROTATION_COUNTS]
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 
@@ -509,12 +511,64 @@ def test_domain_edges_end_in_an_exit_code(capsys, argv):
 
 
 def test_overflowing_rotation_writes_one_error_line():
-    # k alpha overflows float64: refused before numpy can warn on stderr
-    src = str(Path(sp.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "spacings", *_ROTATION_OVERFLOW], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    # k alpha overflows float64: refused before numpy can warn on stderr; of the
+    # counts, the first fails to allocate and the second is refused before k alpha
+    for argv in (_ROTATION_OVERFLOW, *_ROTATION_COUNTS):
+        proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # about 14 MB of table: the reader closes the pipe long before the end
+    argv = ["pmf", "--n", "200000", "--p", "0.1", "--i", "3"]
+    proc = subprocess.Popen([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"d,pmf,cdf,limit_cdf\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+_FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("freeze_count", gc.get_freeze_count(), file=sys.stderr))
+from spacings.cli import main
+main()
+"""
+
+
+def test_main_freezes_the_collector_before_exit():
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, "limit", "--p", "0.5",
+                           "--d-max", "3"], env=_cli_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("d,limit_pmf,limit_cdf\n")
+    name, count = proc.stderr.splitlines()[-1].split()
+    assert name == "freeze_count" and int(count) > 0
+
+
+def test_import_and_run_leave_the_collector_unfrozen(capsys):
+    def ours():
+        return [k for k in sys.modules if k == "spacings" or k.startswith("spacings.")]
+
+    frozen = gc.get_freeze_count()
+    saved = {k: sys.modules.pop(k) for k in ours()}
+    try:
+        assert importlib.import_module("spacings.cli") is not cli  # a fresh import
+        assert gc.get_freeze_count() == frozen
+    finally:
+        for k in ours():
+            del sys.modules[k]
+        sys.modules.update(saved)
+    assert run(["limit", "--p", "0.5", "--d-max", "3"]) == 0
+    assert run(["pmf", "--n", "0", "--p", "0.5", "--i", "1"]) == 2
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()

@@ -98,6 +98,10 @@ class TestRotation:
             sp.rotation(1.7e308, 5)
         with pytest.raises(DomainError, match="finite"):
             sp.rotation(-1e308, 2)
+        # orbit indices past 2**53 are not exact in float64; 10**400 is past float range
+        for count in (2**53 + 1, 10**400):
+            with pytest.raises(DomainError, match="<= 9007199254740992"):
+                sp.rotation(0.5, count)
 
 
 class TestPointSet:
