@@ -21,6 +21,7 @@ import numpy as np
 
 from . import diagnostics, oracle, sampler, sequences
 from .distribution import (
+    GRID_N_MAX,
     ModelParams,
     cdf_scaled_closed_i1,
     limit_cdf,
@@ -42,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_p(text: str) -> float:
     try:
         value = float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"--p {text!r} is not a number or a/b fraction") from exc
     return value
 
@@ -117,9 +118,12 @@ def _interleave(chunk: list) -> tuple:
 
 
 def _steps(d_max, n=None) -> np.ndarray:
-    """d = 1..min(d_max, n); all of 1..n without --d-max, all of 1..d_max without n."""
+    """d = 1..min(d_max, n); all of 1..n without --d-max, all of 1..d_max without n.
+
+    Without n, d_max is bounded by the grid bound GRID_N_MAX.
+    """
     if d_max is not None:
-        d_max = check_int(d_max, "--d-max", 1)
+        d_max = check_int(d_max, "--d-max", 1, GRID_N_MAX if n is None else None)
         n = d_max if n is None else min(d_max, n)
     return np.arange(1, n + 1)
 
@@ -157,9 +161,9 @@ def _cmd_sample(args) -> int:
     emp = sampler.collect_empirical(args.n, p, args.i, args.trials, args.seed)
     total = emp.total
     d, counts = emp.as_arrays()
-    _emit({"d": d, "count": counts.astype(np.int64), "empirical_mass": counts / total,
+    _emit({"d": d, "count": counts, "empirical_mass": counts / total,
            "limit_pmf": limit_pmf(p, d)}, args.format)
-    print(f"retained={int(total)} discarded={emp.discarded}", file=sys.stderr)
+    print(f"retained={total} discarded={emp.discarded}", file=sys.stderr)
     return 0
 
 
@@ -181,9 +185,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     if "/" not in args.p:
         raise DomainError("--p must be an exact fraction a/b for the oracle")
-    p = Fraction(args.p)
-    enumerated = oracle.enumerate_conditional_pmf(args.n, p, args.i)
-    closed = oracle.exact_closed_form_pmf(args.n, p, args.i)
+    enumerated = oracle.enumerate_conditional_pmf(args.n, args.p, args.i)  # parses --p
+    closed = oracle.exact_closed_form_pmf(args.n, enumerated.p, args.i)
     match = enumerated.masses == closed.masses
     d = range(1, args.n + 1)
     columns = {"d": d,

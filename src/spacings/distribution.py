@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_p
+from .errors import DomainError, check_float, check_int, check_p
 from .logprob import LogProb, log_binom_pmf, log_binomial, log_pow
 
 _NEG_INF = float("-inf")
@@ -274,7 +274,7 @@ def pmf_delta(params: ModelParams, delta) -> float:
     are in bijection through d = n * delta.  n * (d/n) is within 2 ulp of d,
     so the tolerance grows with the ulp of n * delta.
     """
-    d_real = float(delta) * params.n
+    d_real = check_float(delta, "delta") * params.n
     tol = max(1e-9, 4 * math.ulp(d_real))
     if not math.isfinite(d_real) or abs(d_real - round(d_real)) > tol:
         raise DomainError(f"delta={delta} is not a multiple of 1/n")
@@ -317,9 +317,6 @@ class DistributionTable:
     @property
     def total(self) -> float:
         return float(self.mass.sum())
-
-    def __iter__(self):
-        return zip(self.d.tolist(), self.mass.tolist())
 
     def validate(self, tol: float = 1e-10) -> None:
         n, i = self.params.n, self.params.i

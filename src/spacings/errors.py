@@ -16,12 +16,17 @@ class EmptySampleError(DomainError):
     """An operation needs more observations than were supplied."""
 
 
+def check_float(value, name: str) -> float:
+    """``value`` as a float; values ``float`` refuses or overflows on raise DomainError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name}={value!r} is not a float") from exc
+
+
 def check_p(p) -> float:
     """The survival probability p as a float in (0, 1]."""
-    try:
-        value = float(p)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"survival probability p={p!r} is not a number") from exc
+    value = check_float(p, "survival probability p")
     if not 0.0 < value <= 1.0:
         raise DomainError(f"survival probability p={value} must be in (0, 1]")
     return value

@@ -1,4 +1,4 @@
-"""Log-domain probability arithmetic.
+"""Log-domain probabilities and binomial logs.
 
 Probabilities at large grid sizes underflow double precision (for example
 0.9**50001 is about 1e-2288), so sums in this package are carried out on
@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 _NEG_INF = float("-inf")
 
 # Rounding slack: log-sum-exp over masses that sum to 1 can land a few ulp
@@ -55,30 +57,16 @@ _S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
 
-def logaddexp(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)) without overflow; tolerates -inf inputs."""
-    if a == _NEG_INF:
-        return b
-    if b == _NEG_INF:
-        return a
-    m = a if a >= b else b
-    return m + math.log1p(math.exp(-abs(a - b)))
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LogProb:
     """A probability stored as its natural logarithm.
 
     ``log`` is a float <= 0; ``-inf`` encodes exact probability zero.
-    Addition uses log-sum-exp and cannot overflow for inputs that are
-    genuine probabilities; multiplication is addition of logs.
     """
 
     log: float
 
     def __post_init__(self) -> None:
-        from .errors import DomainError
-
         if math.isnan(self.log):
             raise DomainError("log-probability is NaN")
         if self.log > _LOG_SLACK:
@@ -90,20 +78,6 @@ class LogProb:
     def zero(cls) -> "LogProb":
         return cls(_NEG_INF)
 
-    @classmethod
-    def one(cls) -> "LogProb":
-        return cls(0.0)
-
-    @classmethod
-    def from_prob(cls, value: float) -> "LogProb":
-        from .errors import DomainError
-
-        if not 0.0 <= value <= 1.0 + _LOG_SLACK:
-            raise DomainError(f"probability {value} outside [0, 1]")
-        if value == 0.0:
-            return cls.zero()
-        return cls(min(math.log(value), 0.0))
-
     @property
     def prob(self) -> float:
         return math.exp(self.log)
@@ -111,12 +85,6 @@ class LogProb:
     @property
     def is_zero(self) -> bool:
         return self.log == _NEG_INF
-
-    def __add__(self, other: "LogProb") -> "LogProb":
-        return LogProb(logaddexp(self.log, other.log))
-
-    def __mul__(self, other: "LogProb") -> "LogProb":
-        return LogProb(self.log + other.log)
 
 
 def log_pow(log_base: float, k) -> float | np.ndarray:

@@ -28,8 +28,8 @@ partitioned into blocks of a fixed size, so the block layout is a function
 of trials alone; block b draws from child b of
 ``numpy.random.SeedSequence(seed)``, and block results merge by addition,
 so the outcome depends on (trials, seed) and the model alone, never on how
-many threads run the blocks.  Blocks run on as many threads as the machine
-has CPUs.
+many threads run the blocks.  Blocks run on one thread per CPU, and at most
+one thread per block of 65,536 trials.
 """
 
 from __future__ import annotations
@@ -122,11 +122,11 @@ def ith_scaled_spacing(run: SampleRun, i, n) -> int | None:
 class EmpiricalDistribution:
     """Observed counts of integer scaled spacings from repeated trials."""
 
-    counts: dict[int, float]
+    counts: dict[int, int]
     discarded: int = 0
 
     @property
-    def total(self) -> float:
+    def total(self) -> int:
         return sum(self.counts.values())
 
     @property
@@ -137,7 +137,7 @@ class EmpiricalDistribution:
         """Support 1..max_observed and the count of each value."""
         dmax = self.max_observed
         d = np.arange(1, dmax + 1)
-        c = np.zeros(dmax)
+        c = np.zeros(dmax, dtype=np.int64)
         for val, cnt in self.counts.items():
             c[val - 1] = cnt
         return d, c
@@ -197,11 +197,11 @@ def inter_arrival_stream(p, seed, count) -> np.ndarray:
 
     The gaps are i.i.d. Geometric(p) positive integers, drawn as the
     process's waiting times.  p below 2**-56 is rejected: its gaps would
-    overflow int64.
+    overflow int64.  count is at most 2**53, the bound of ``rotation``.
     """
     p = check_p(p)
     if p < _STREAM_P_MIN:
         raise DomainError(f"p={p} below 2**-56: inter-arrival gaps would overflow int64")
     seed = check_int(seed, "seed", 0, _SEED_MAX)
-    count = check_int(count, "count", 1)
+    count = check_int(count, "count", 1, 2**53)
     return np.random.default_rng(seed).geometric(p, count)

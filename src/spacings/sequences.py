@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_float, check_int
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def rotation(alpha, count) -> PointSet:
     exact in float64.
     """
     count = check_int(count, "count", 1, 2**53)
-    alpha = float(alpha)
+    alpha = check_float(alpha, "alpha")
     if not math.isfinite(count * alpha):  # the orbit's last point, before mod 1
         raise DomainError(f"count * alpha = {count} * {alpha!r} must be finite")
     vals = np.mod(np.arange(1, count + 1) * alpha, 1.0)

@@ -205,6 +205,13 @@ class TestExitCodes:
         ["cdf", "--n", "10", "--p", "1e-15", "--i", "1", "--closed-form"],
         ["pmf", "--n", str(10**30), "--p", "1e-25", "--i", "3"],
         ["pmf", "--n", str(GRID_N_MAX + 1), "--p", "0.5", "--i", "1"],
+        ["limit", "--p", "0.5", "--d-max", str(2**63 - 1)],
+        ["limit", "--p", "0.5", "--d-max", str(2**60)],
+        ["stream", "--p", "0.5", "--count", str(2**60)],
+        ["stream", "--p", "0.5", "--count", str(2**70)],
+        ["oracle", "--n", "6", "--p", "1/0", "--i", "2"],
+        ["oracle", "--n", "6", "--p", "a/b", "--i", "2"],
+        ["limit", "--p", "1e400", "--d-max", "3"],
     ])
     def test_out_of_range_exits_two_with_one_line(self, capsys, argv):
         assert run(argv) == 2

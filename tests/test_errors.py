@@ -52,9 +52,12 @@ _PARAMS = sp.ModelParams(10, 0.5, 2)
     lambda: sp.pmf_delta(_PARAMS, INF),
     lambda: sp.convergence_sweep(0.1, 1, [10], INF),
     lambda: sp.rotation(0.3, INF),
+    lambda: sp.pmf_delta(_PARAMS, "x"),
+    lambda: sp.pmf_delta(_PARAMS, 10**400),
+    lambda: sp.rotation("x", 5),
 ], ids=["ModelParams-n-inf", "ModelParams-n-nan", "limit_cdf-d", "grid", "farey",
         "inter_arrival_stream-seed", "size_tail-i", "pmf_delta", "convergence_sweep-d_max",
-        "rotation-count"])
+        "rotation-count", "pmf_delta-text", "pmf_delta-overflow", "rotation-alpha-text"])
 def test_non_finite_integers_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()

@@ -290,6 +290,28 @@ class TestCollectEmpirical:
             sp.collect_empirical(2**53, 0.5, 1, 100, 1)
 
 
+class TestEmpiricalDistribution:
+    def test_as_arrays_fills_the_gaps_with_zero_counts(self):
+        emp = sp.EmpiricalDistribution({2: 5, 5: 1, 1: 3})
+        d, counts = emp.as_arrays()
+        assert d.tolist() == [1, 2, 3, 4, 5]
+        assert counts.tolist() == [3, 5, 0, 0, 1]
+        assert counts.dtype == np.int64
+        assert counts.sum() == emp.total == 9
+
+    def test_as_arrays_of_an_empty_histogram(self):
+        d, counts = sp.EmpiricalDistribution({}).as_arrays()
+        assert d.size == 0 and counts.size == 0
+        assert counts.dtype == np.int64
+
+    def test_collected_counts_are_integers(self):
+        emp = sp.collect_empirical(50, 0.3, 2, 2_000, 6)
+        assert all(type(c) is int for c in emp.counts.values())
+        d, counts = emp.as_arrays()
+        assert counts.dtype == np.int64 and counts.sum() == emp.total
+        assert d.size == emp.max_observed
+
+
 class TestInterArrivalStream:
     def test_p_one_is_all_ones(self):
         assert sp.inter_arrival_stream(1.0, 3, 5).tolist() == [1, 1, 1, 1, 1]
@@ -331,6 +353,11 @@ class TestInterArrivalStream:
             sp.inter_arrival_stream(0.5, 1, 0)
         with pytest.raises(DomainError):
             sp.inter_arrival_stream(1.5, 1, 5)
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**70])
+    def test_count_past_2_53_is_refused_before_drawing(self, count):
+        with pytest.raises(DomainError, match="count"):
+            sp.inter_arrival_stream(0.5, 1, count)
 
 
 def test_first_spacing_matches_process_view():
