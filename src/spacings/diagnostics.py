@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import ModelParams, limit_cdf, limit_pmf, spacing_distribution
-from .errors import DomainError, EmptySampleError, check_int, check_p
+from .errors import DomainError, EmptySampleError, check_floats, check_int, check_p
 from .sampler import EmpiricalDistribution
 
 
@@ -33,20 +33,10 @@ class DistanceReport:
     n_effective: int
 
     def __post_init__(self) -> None:
-        if self.ks < 0.0:
+        if not self.ks >= 0.0:
             raise DomainError("KS distance must be >= 0")
         if self.tv is not None and not 0.0 <= self.tv <= 1.0:
             raise DomainError("TV distance must be in [0, 1]")
-
-
-def _atom_masses(emp: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Observed values in ascending order and their empirical masses."""
-    atoms = np.array(sorted(emp.counts), dtype=np.int64)
-    counts = np.array([emp.counts[a] for a in atoms.tolist()], dtype=np.float64)
-    total = counts.sum()
-    if not total > 0:
-        raise EmptySampleError("empirical distribution has no observations")
-    return atoms, counts / total
 
 
 def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
@@ -62,7 +52,7 @@ def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
     KS sup lies at an atom a or just below it, at a - 1.
     """
     p = check_p(p)
-    atoms, emp_mass = _atom_masses(emp)
+    atoms, emp_mass = emp.atoms, emp.masses
     emp_cdf = np.cumsum(emp_mass)
     below = atoms - 1
     inner = below >= 1
@@ -72,17 +62,16 @@ def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
     geo_mass = limit_pmf(p, atoms)
     unobserved = max(1.0 - math.fsum(geo_mass), 0.0)
     tv = 0.5 * (float(np.abs(emp_mass - geo_mass).sum()) + unobserved)
-    return DistanceReport(ks=ks, tv=min(tv, 1.0), n_effective=int(emp.total))
+    return DistanceReport(ks=ks, tv=min(tv, 1.0), n_effective=emp.total)
 
 
 def _union_masses(a: EmpiricalDistribution, b: EmpiricalDistribution):
     """Masses of both histograms over the union of their observed atoms."""
-    (xa, ma), (xb, mb) = _atom_masses(a), _atom_masses(b)
-    support = np.union1d(xa, xb)
+    support = np.union1d(a.atoms, b.atoms)
     out = []
-    for x, m in ((xa, ma), (xb, mb)):
+    for emp in (a, b):
         full = np.zeros(support.size)
-        full[np.searchsorted(support, x)] = m
+        full[np.searchsorted(support, emp.atoms)] = emp.masses
         out.append(full)
     return out
 
@@ -134,7 +123,7 @@ def scaled_mean_exponential_check(spacings) -> DistanceReport:
     compared with 1 - exp(-x) at the observed atoms.  Needs at least 100
     spacings to say anything meaningful.
     """
-    x = np.asarray(spacings, dtype=np.float64)
+    x = check_floats(spacings, "spacings")
     if x.ndim != 1 or x.size < 100:
         raise EmptySampleError(
             f"need at least 100 spacings for the exponential check, got {x.size}"

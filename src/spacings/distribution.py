@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_float, check_int, check_p
+from .errors import DomainError, check_float, check_int, check_ints, check_p
 from .logprob import LogProb, log_binom_pmf, log_binomial, log_pow
 
 _NEG_INF = float("-inf")
@@ -74,6 +74,8 @@ _LOG_TAIL_BOUND = -55 * math.log(2.0)
 GRID_N_MAX = 2**53 - 2
 # The i = 1 closed form is refused below this (n+1)p, where its error passes 1e-12.
 _CLOSED_FORM_MIN_NP = 1.25e-3
+# DistributionTable.validate's bound on |sum of masses - 1|.
+_VALIDATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,8 @@ def _block_log_numerators(params: ModelParams, block: int) -> np.ndarray:
         anchor = _binom_tails(m0 - 1, p, i - 1)[1]
         lt = np.concatenate(([anchor], _log_survivor_weight(m, p, i)))
         top = float(lt.max())
-        log_u = np.log(np.cumsum(np.exp(lt - top))) + top  # U(m0) .. U(n-first+1)
+        with np.errstate(divide="ignore"):  # sums that underflow to 0 give -inf
+            log_u = np.log(np.cumsum(np.exp(lt - top))) + top  # U(m0) .. U(n-first+1)
         d = np.arange(first, last + 1)
         out[: d.size] = math.log(p) + log_pow(_log_q(p), d - 1) + log_u[::-1]
     out.flags.writeable = False
@@ -318,9 +321,9 @@ class DistributionTable:
     def total(self) -> float:
         return float(self.mass.sum())
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         n, i = self.params.n, self.params.i
-        if abs(self.total - 1.0) > tol:
+        if abs(self.total - 1.0) > _VALIDATE_TOL:
             raise DomainError(f"masses sum to {self.total}, not 1")
         if np.any(self.mass < 0.0):
             raise DomainError("negative mass")
@@ -376,8 +379,8 @@ def cdf_scaled_closed_i1(n, p, d):
     """
     n = check_int(n, "n", 1, GRID_N_MAX)
     p = check_p(p)
-    # a plain int skips _check_steps: scalar calls come by the million
-    d = check_int(d, "d", 1, n) if type(d) is int else _check_steps(d, n)
+    # a plain int goes straight to check_int: scalar calls come by the million
+    d = check_int(d, "d", 1, n) if type(d) is int else check_ints(d, "d", 1, n)
     if (n + 1) * p < _CLOSED_FORM_MIN_NP:
         raise DomainError(f"the i=1 closed form needs (n+1)p >= {_CLOSED_FORM_MIN_NP}, "
                           f"got {(n + 1) * p!r} at n={n}, p={p!r}")
@@ -394,25 +397,13 @@ def cdf_scaled_closed_i1(n, p, d):
     return out.reshape(d.shape)
 
 
-def _check_steps(d, hi: int | None = None):
-    """d, an int or an integer array of values in 1..hi (no bound when hi is None)."""
-    if isinstance(d, (int, np.integer)) or np.ndim(d) == 0:  # np.ndim alone costs 2 us
-        return check_int(d, "d", 1, hi)
-    d = np.asarray(d)
-    if d.size and (d.dtype.kind not in "iu" or d.min() < 1
-                   or (hi is not None and d.max() > hi)):
-        bound = "" if hi is None else f" and <= {hi}"
-        raise DomainError(f"d needs integer values >= 1{bound}, got a {d.dtype} array")
-    return d
-
-
 def limit_pmf(p, d):
     """Geometric(p) mass p (1-p)**(d-1): the n -> infinity law of spacings.
 
     ``d`` is an int or integer array; the result is a float, or an array of
     d's shape.
     """
-    p, x = check_p(p), np.asarray(_check_steps(d), dtype=np.float64)
+    p, x = check_p(p), np.asarray(check_ints(d, "d", 1), dtype=np.float64)
     out = p * np.exp(log_pow(_log_q(p), x - 1.0))
     return float(out) if np.ndim(d) == 0 else out
 
@@ -422,7 +413,7 @@ def limit_cdf(p, d):
 
     The result is a float, or an array of d's shape.
     """
-    p, x = check_p(p), np.asarray(_check_steps(d), dtype=np.float64)
+    p, x = check_p(p), np.asarray(check_ints(d, "d", 1), dtype=np.float64)
     out = -np.expm1(x * _log_q(p))
     return float(out) if np.ndim(d) == 0 else out
 

@@ -3,6 +3,8 @@ that raise them."""
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """A parameter lies outside its documented domain."""
@@ -49,3 +51,36 @@ def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
     if hi is not None and as_int > hi:
         raise DomainError(f"{name}={as_int} must be <= {hi}")
     return as_int
+
+
+def check_ints(values, name: str, lo: int, hi: int | None = None):
+    """An int, or an integer array, of values in lo..hi (no upper bound when hi is None).
+
+    An array is checked whole, by dtype, min and max, and returned as numpy
+    made it; floats, text and integers beyond 64 bits raise DomainError.
+    """
+    if isinstance(values, (int, np.integer)):  # the common scalar, without an array
+        return check_int(values, name, lo, hi)
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:
+        raise DomainError(f"{name} is not an integer array") from exc
+    if array.ndim == 0:
+        return check_int(values, name, lo, hi)
+    if array.size and (array.dtype.kind not in "iu" or array.min() < lo
+                       or (hi is not None and array.max() > hi)):
+        bound = "" if hi is None else f" and <= {hi}"
+        raise DomainError(f"{name} needs integer values >= {lo}{bound}, "
+                          f"got a {array.dtype} array")
+    return array
+
+
+def check_floats(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array of finite values, or DomainError."""
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} is not an array of floats") from exc
+    if not np.isfinite(array).all():
+        raise DomainError(f"{name} must be finite")
+    return array

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import ModelParams
-from .errors import DomainError, check_int, check_p
+from .errors import DomainError, EmptySampleError, check_int, check_ints, check_p
 from .sequences import PointSet
 
 _BLOCK_TRIALS = 1 << 16  # grid trials drawn per block
@@ -52,6 +53,7 @@ _SUBSET_SIGMAS = 6.0  # sample_subset draws beyond the expected survivor count
 # which below this p happen with probability above exp(-128) per draw.
 _STREAM_P_MIN = 2.0**-56
 _SEED_MAX = (1 << 64) - 1  # seeds span the unsigned 64-bit range
+_INT64_MAX = (1 << 63) - 1  # histogram atoms and counts are int64
 
 
 @dataclass(frozen=True)
@@ -118,28 +120,58 @@ def ith_scaled_spacing(run: SampleRun, i, n) -> int | None:
     return int(round(n * float(values[i] - values[i - 1])))
 
 
-@dataclass
 class EmpiricalDistribution:
-    """Observed counts of integer scaled spacings from repeated trials."""
+    """Observed counts of integer scaled spacings from repeated trials.
 
-    counts: dict[int, int]
-    discarded: int = 0
+    Built from a mapping {spacing d: count} and held as two read-only int64
+    arrays: ``atoms``, the observed d in ascending order, and ``counts``,
+    aligned with ``atoms``; zero counts are kept.  Atoms must be integers
+    >= 1 and counts integers >= 0, each at most 2**63 - 1, with a total
+    below 2**63; any other mapping raises DomainError.  ``discarded`` counts
+    the trials that produced no spacing.
+    """
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+    def __init__(self, counts: Mapping[int, int], discarded=0):
+        atoms = check_ints(list(counts), "atoms", 1, _INT64_MAX)
+        if atoms.ndim != 1:
+            raise DomainError("atoms must be integers, not sequences")
+        tallies = check_ints(list(counts.values()), "counts", 0, _INT64_MAX)
+        if tallies.sum(dtype=np.float64) >= 2.0**63:
+            raise DomainError("counts must total below 2**63")
+        order = np.argsort(atoms)
+        self.atoms = atoms[order].astype(np.int64, copy=False)
+        self.counts = tallies[order].astype(np.int64, copy=False)
+        self.atoms.flags.writeable = self.counts.flags.writeable = False
+        self.total = int(self.counts.sum())
+        self.discarded = check_int(discarded, "discarded", 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, EmpiricalDistribution):
+            return NotImplemented
+        return (np.array_equal(self.atoms, other.atoms)
+                and np.array_equal(self.counts, other.counts)
+                and self.discarded == other.discarded)
+
+    def __repr__(self) -> str:
+        counts = dict(zip(self.atoms.tolist(), self.counts.tolist()))
+        return f"EmpiricalDistribution({counts}, discarded={self.discarded})"
 
     @property
     def max_observed(self) -> int:
-        return max(self.counts) if self.counts else 0
+        return int(self.atoms[-1]) if self.atoms.size else 0
+
+    @property
+    def masses(self) -> np.ndarray:
+        """counts / total, aligned with atoms; EmptySampleError when the total is 0."""
+        if not self.total:
+            raise EmptySampleError("empirical distribution has no observations")
+        return self.counts / self.total
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Support 1..max_observed and the count of each value."""
-        dmax = self.max_observed
-        d = np.arange(1, dmax + 1)
-        c = np.zeros(dmax, dtype=np.int64)
-        for val, cnt in self.counts.items():
-            c[val - 1] = cnt
+        d = np.arange(1, self.max_observed + 1)
+        c = np.zeros(self.max_observed, dtype=np.int64)
+        c[self.atoms - 1] = self.counts
         return d, c
 
 
@@ -170,6 +202,9 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     Blocks hold a fixed number of trials, so the partitioning depends on
     trials alone and the seeds on seed alone; they run on one thread per
     CPU, up to one per block, and results never depend on that number.
+
+    The histogram's ``atoms`` are the distinct spacings seen, ascending, and
+    its ``counts`` their int64 tallies, which sum to the retained trials.
     """
     trials = check_int(trials, "trials", 1)
     params = ModelParams(n, p, i)
@@ -187,9 +222,10 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
         )
 
     support, where = np.unique(np.concatenate([r[0] for r in results]), return_inverse=True)
-    totals = np.bincount(where, weights=np.concatenate([r[1] for r in results]))
-    counts = {int(d): int(c) for d, c in zip(support, totals)}
-    return EmpiricalDistribution(counts, sum(r[2] for r in results))
+    # float weights sum exactly while trials < 2**53
+    totals = np.bincount(where, weights=np.concatenate([r[1] for r in results])).astype(np.int64)
+    return EmpiricalDistribution(dict(zip(support.tolist(), totals.tolist())),
+                                 sum(r[2] for r in results))
 
 
 def inter_arrival_stream(p, seed, count) -> np.ndarray:

@@ -484,6 +484,11 @@ _ROTATION_OVERFLOW = ["seq-sample", "--alpha", "1.7e308", "--count", "5", "--p",
 # 7.11 PiB of orbit indices, beyond any 48-bit address space; a count past float range
 _ROTATION_COUNTS = [["seq-sample", "--alpha", "0.5", "--count", str(10**15), "--p", "0.5"],
                     ["seq-sample", "--alpha", "0.5", "--count", str(10**400), "--p", "0.5"]]
+# survivor-weight sums that underflow to 0 in the block kernel's log
+_UNDERFLOW_ARGVS = [["pmf", "--n", "2000", "--p", "0.5", "--i", "1500"],
+                    ["cdf", "--n", "2000", "--p", "0.5", "--i", "1500", "--d-max", "5"],
+                    ["sweep", "--p", "0.5", "--i", "1500", "--n-list", "2000,4000",
+                     "--d-max", "5"]]
 
 
 def _edge_argvs() -> list[list[str]]:
@@ -505,7 +510,7 @@ def _edge_argvs() -> list[list[str]]:
     for p in _EDGE_P:
         argvs.append(["sample", "--n", "1000000", "--p", p, "--i", "1000000",
                       "--trials", "2", "--seed", "1"])
-    argvs += [_ROTATION_OVERFLOW, *_ROTATION_COUNTS]
+    argvs += [_ROTATION_OVERFLOW, *_ROTATION_COUNTS, *_UNDERFLOW_ARGVS]
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 

@@ -26,7 +26,7 @@ class TestKsToGeometric:
 
     def test_truncated_geometric_is_nearly_zero(self):
         p, dmax = 0.1, 300
-        counts = {d: p * (1 - p) ** (d - 1) for d in range(1, dmax + 1)}
+        counts = {d: round(1e15 * p * (1 - p) ** (d - 1)) for d in range(1, dmax + 1)}
         report = sp.ks_to_geometric(_emp(counts), p)
         # only the renormalized tail q**dmax ~ 2e-14 separates the two
         assert report.ks < 1e-12
@@ -63,8 +63,7 @@ class TestBetweenDistances:
 def _dense_masses(emp, dmax):
     d = np.arange(1, dmax + 1)
     m = np.zeros(dmax)
-    for val, cnt in emp.counts.items():
-        m[val - 1] = cnt
+    m[: emp.max_observed] = emp.as_arrays()[1]
     return d, m / m.sum()
 
 
@@ -86,7 +85,7 @@ def _dense_between(a, b):
 _GEOMETRIC_CASES = [
     ({1: 1000}, 0.5),
     ({1: 42}, 1.0),
-    ({d: 0.1 * 0.9 ** (d - 1) for d in range(1, 301)}, 0.1),
+    ({d: round(1e15 * 0.1 * 0.9 ** (d - 1)) for d in range(1, 301)}, 0.1),
     ({1: 10}, 0.5),
     ({2: 3, 5: 1, 40: 2}, 0.1),
     ({7: 5}, 0.3),
@@ -188,9 +187,23 @@ class TestScaledMeanExponentialCheck:
         with pytest.raises(DomainError):
             sp.scaled_mean_exponential_check(np.concatenate([np.ones(200), [-1.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            sp.scaled_mean_exponential_check(np.concatenate([np.ones(200), [bad]]))
+
+    def test_rejects_text(self):
+        with pytest.raises(DomainError):
+            sp.scaled_mean_exponential_check("abc")
+
 
 def test_report_validation():
     with pytest.raises(DomainError):
         sp.DistanceReport(ks=-0.1, tv=None, n_effective=0)
     with pytest.raises(DomainError):
         sp.DistanceReport(ks=0.1, tv=1.5, n_effective=0)
+    with pytest.raises(DomainError):
+        sp.DistanceReport(ks=math.nan, tv=None, n_effective=0)
+    with pytest.raises(DomainError):
+        sp.DistanceReport(ks=0.1, tv=math.nan, n_effective=0)

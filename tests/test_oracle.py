@@ -84,7 +84,7 @@ def test_rejects_floats_and_bad_ranges():
 
 def _reference_gap_counts(n, i):
     """The oracle's counts, one pattern at a time in plain Python."""
-    counts = Counter()
+    tally = Counter()
     for mask in range(1 << (n + 1)):
         ones = mask.bit_count()
         if ones <= i:
@@ -95,8 +95,8 @@ def _reference_gap_counts(n, i):
         lo = (rest & -rest).bit_length() - 1
         rest &= rest - 1
         hi = (rest & -rest).bit_length() - 1
-        counts[(ones, hi - lo)] += 1
-    return sorted((ones, d, c) for (ones, d), c in counts.items())
+        tally[(ones, hi - lo)] += 1
+    return sorted((ones, d, c) for (ones, d), c in tally.items())
 
 
 @pytest.mark.parametrize("n", range(1, 13))

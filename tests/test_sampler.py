@@ -29,6 +29,12 @@ def dense_reference(n, p, i, trials, seed):
     return np.bincount(gaps, minlength=n + 1)[1:], trials - qualifying.size
 
 
+def _dense_counts(emp, k):
+    """Counts of d = 1..k from a histogram, zero where d was not observed."""
+    counts = emp.as_arrays()[1]
+    return np.pad(counts, (0, max(k - counts.size, 0)))[:k]
+
+
 def _chi_square_pvalue(counts, masses):
     """Goodness of fit of counts to masses, pooling cells expected below 5."""
     expected = counts.sum() * masses
@@ -118,11 +124,12 @@ class TestCollectEmpirical:
     def test_small_grid_mass(self):
         emp = sp.collect_empirical(2, 0.5, 1, 1_000_000, 31337)
         # exact conditional mass at one step is 3/4; binomial se ~ 0.0005
-        assert abs(emp.counts[1] / emp.total - 0.75) < 0.005
+        assert emp.atoms[0] == 1
+        assert abs(emp.counts[0] / emp.total - 0.75) < 0.005
 
     def test_p_one_all_mass_at_one_step(self):
         emp = sp.collect_empirical(25, 1.0, 1, 10, 5)
-        assert set(emp.counts) == {1}
+        assert emp.atoms.tolist() == [1]
         assert emp.total == 10
         assert emp.discarded == 0
 
@@ -167,8 +174,7 @@ class TestCollectEmpirical:
         for cpus in (3, 4):
             threaded, threads = self._with_cpus(monkeypatch, cpus, *args)
             assert threads == 3
-            assert base.counts == threaded.counts
-            assert base.discarded == threaded.discarded
+            assert base == threaded  # atoms, counts and discarded
 
     def test_workers_across_several_blocks(self, monkeypatch):
         trials = 3 * sampler._BLOCK_TRIALS + 7  # four blocks
@@ -213,7 +219,7 @@ class TestCollectEmpirical:
         # survivor i+1 sits near (i+1)/p - 1 = n - 1, so about half the trials are kept
         n, p, i, trials = 2000, 0.5, 999, 20_000
         emp = sp.collect_empirical(n, p, i, trials, 12)
-        drawn = np.array([emp.counts.get(d, 0) for d in range(1, n + 1)])
+        drawn = _dense_counts(emp, n)
         walked, walk_discarded = self._whole_row_reference(n, p, i, trials, 13)
         tail = sp.size_tail(n, p, i).prob
         se = math.sqrt(trials * tail * (1 - tail))
@@ -241,7 +247,7 @@ class TestCollectEmpirical:
         assert elapsed < 1.0, elapsed
         assert emp.total + emp.discarded == trials
         if p == 1.0:
-            assert emp.counts == {1: trials}
+            assert emp == sp.EmpiricalDistribution({1: trials})
 
     @pytest.mark.parametrize("n, p, i", [
         (1, Fraction(1, 2), 1),
@@ -257,7 +263,7 @@ class TestCollectEmpirical:
         masses = np.array([float(exact.mass(d)) for d in range(1, n + 1)])
         tail = sp.size_tail(n, float(p), i).prob
         emp = sp.collect_empirical(n, float(p), i, trials, 606)
-        skipped = np.array([emp.counts.get(d, 0) for d in range(1, n + 1)])
+        skipped = _dense_counts(emp, n)
         dense, dense_discarded = dense_reference(n, float(p), i, trials, 607)
         for counts, discarded in ((skipped, emp.discarded), (dense, dense_discarded)):
             assert counts.sum() + discarded == trials
@@ -270,7 +276,7 @@ class TestCollectEmpirical:
         trials, k = 200_000, 2000
         mass = sp.spacing_distribution(sp.ModelParams(n, p, i)).head(min(k, n))[0]
         emp = sp.collect_empirical(n, p, i, trials, 909)
-        counts = np.array([emp.counts.get(d, 0) for d in range(1, mass.size + 1)])
+        counts = _dense_counts(emp, mass.size)
         tail = sp.size_tail(n, p, i).prob
         se = math.sqrt(trials * tail * (1 - tail))
         assert abs(emp.total - trials * tail) <= 4 * se
@@ -306,10 +312,26 @@ class TestEmpiricalDistribution:
 
     def test_collected_counts_are_integers(self):
         emp = sp.collect_empirical(50, 0.3, 2, 2_000, 6)
-        assert all(type(c) is int for c in emp.counts.values())
+        assert emp.atoms.dtype == emp.counts.dtype == np.int64
+        assert type(emp.total) is int
         d, counts = emp.as_arrays()
         assert counts.dtype == np.int64 and counts.sum() == emp.total
         assert d.size == emp.max_observed
+
+    def test_atoms_sorted_with_zero_counts_kept_and_read_only(self):
+        emp = sp.EmpiricalDistribution({9: 2, 3: 0, 4: 1}, discarded=5)
+        assert emp.atoms.tolist() == [3, 4, 9]
+        assert emp.counts.tolist() == [0, 1, 2]
+        assert emp.total == 3 and emp.max_observed == 9 and emp.discarded == 5
+        with pytest.raises(ValueError):
+            emp.counts[0] = 7
+
+    @pytest.mark.parametrize("counts", [
+        {1: 5, 2: -3}, {1.5: 2}, {0: 2}, {-1: 2}, {1: 2.5}, {10**30: 1}, {"a": 1},
+    ], ids=repr)
+    def test_bad_mappings_are_domain_errors(self, counts):
+        with pytest.raises(DomainError):
+            sp.EmpiricalDistribution(counts)
 
 
 class TestInterArrivalStream:
