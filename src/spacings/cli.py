@@ -5,6 +5,10 @@ array of objects with the same keys; diagnostics go to stderr.  Exit codes:
 0 success, 1 usage error or stdout closed by its reader, 2 domain error or
 an array too large to allocate.  Floats are printed with 17 significant
 digits so they round-trip exactly.
+
+Each subcommand is declared once, as an entry of ``_COMMANDS`` (name,
+handler, help text, options); options shared by several subcommands are
+the specs ``_N``, ``_P``, ``_I``, ``_SEED`` and ``_D_MAX``.
 """
 
 from __future__ import annotations
@@ -128,15 +132,14 @@ def _steps(d_max, n=None) -> np.ndarray:
     return np.arange(1, n + 1)
 
 
-def _cmd_pmf(args) -> int:
+def _cmd_pmf(args) -> None:
     params = ModelParams(args.n, _parse_p(args.p), args.i)
     d = _steps(args.d_max, params.n)
     mass, cdf = spacing_distribution(params).head(d.size)
     _emit({"d": d, "pmf": mass, "cdf": cdf, "limit_cdf": limit_cdf(params.p, d)}, args.format)
-    return 0
 
 
-def _cmd_cdf(args) -> int:
+def _cmd_cdf(args) -> None:
     params = ModelParams(args.n, _parse_p(args.p), args.i)
     if args.closed_form and params.i != 1:
         raise DomainError("--closed-form is only available for --i 1")
@@ -146,17 +149,15 @@ def _cmd_cdf(args) -> int:
     else:
         cdf = spacing_distribution(params).head(d.size)[1]
     _emit({"d": d, "cdf": cdf, "limit_cdf": limit_cdf(params.p, d)}, args.format)
-    return 0
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> None:
     p = _parse_p(args.p)
     d = _steps(args.d_max)
     _emit({"d": d, "limit_pmf": limit_pmf(p, d), "limit_cdf": limit_cdf(p, d)}, args.format)
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     p = _parse_p(args.p)
     emp = sampler.collect_empirical(args.n, p, args.i, args.trials, args.seed)
     total = emp.total
@@ -164,25 +165,22 @@ def _cmd_sample(args) -> int:
     _emit({"d": d, "count": counts, "empirical_mass": counts / total,
            "limit_pmf": limit_pmf(p, d)}, args.format)
     print(f"retained={total} discarded={emp.discarded}", file=sys.stderr)
-    return 0
 
 
-def _cmd_stream(args) -> int:
+def _cmd_stream(args) -> None:
     p = _parse_p(args.p)
     gaps = sampler.inter_arrival_stream(p, args.seed, args.count)
     _emit({"k": np.arange(1, gaps.size + 1), "inter_arrival": gaps}, args.format)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     p = _parse_p(args.p)
     result = diagnostics.convergence_sweep(p, args.i, _parse_n_list(args.n_list), args.d_max)
     ns, sups = zip(*result)
     _emit({"n": ns, "sup_distance": sups}, args.format)
-    return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> None:
     if "/" not in args.p:
         raise DomainError("--p must be an exact fraction a/b for the oracle")
     enumerated = oracle.enumerate_conditional_pmf(args.n, args.p, args.i)  # parses --p
@@ -200,10 +198,9 @@ def _cmd_oracle(args) -> int:
         print(verdict, file=sys.stderr)
     else:
         print(verdict)
-    return 0
 
 
-def _cmd_seq_sample(args) -> int:
+def _cmd_seq_sample(args) -> None:
     p = _parse_p(args.p)
     if (args.Q is None) == (args.alpha is None):
         raise _UsageError("pass exactly one of --Q (Farey) or --alpha (rotation)")
@@ -225,100 +222,63 @@ def _cmd_seq_sample(args) -> int:
         print(f"warning: exponential check skipped: {exc}", file=sys.stderr)
     else:
         print(f"ks_exponential={report.ks:.17g}", file=sys.stderr)
-    return 0
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+# options shared by several subcommands: (flag, add_argument keywords)
+_N = ("--n", {"type": int, "required": True})
+_P = ("--p", {"required": True})
+_I = ("--i", {"type": int, "required": True})
+_SEED = ("--seed", {"type": int, "default": 0})
+_D_MAX = ("--d-max", {"type": int})
+_D_MAX_REQUIRED = (_D_MAX[0], {**_D_MAX[1], "required": True})
+
+# one entry per subcommand: name, handler, help text, options in --help order
+_COMMANDS = (
+    ("pmf", _cmd_pmf, "conditional spacing pmf table", (_N, _P, _I, _D_MAX)),
+    ("cdf", _cmd_cdf, "conditional spacing cdf table",
+     (_N, _P, _I, _D_MAX,
+      ("--closed-form", {"action": "store_true",
+                         "help": "use the i=1 closed form instead of summing the pmf"}))),
+    ("limit", _cmd_limit, "geometric limit law table", (_P, _D_MAX_REQUIRED)),
+    ("sample", _cmd_sample, "Monte Carlo spacing histogram on the grid",
+     (_N, _P, _I, ("--trials", {"type": int, "required": True}), _SEED)),
+    ("stream", _cmd_stream, "inter-arrival gaps of the Bernoulli process",
+     (_P, ("--count", {"type": int, "required": True}), _SEED)),
+    ("sweep", _cmd_sweep, "exact distance to the geometric limit vs n",
+     (_P, _I, ("--n-list", {"required": True}), _D_MAX_REQUIRED)),
+    ("oracle", _cmd_oracle, "exact enumeration vs closed form (small n)",
+     (_N, ("--p", {"required": True, "help": "exact fraction a/b"}), _I)),
+    ("seq-sample", _cmd_seq_sample, "thin a Farey or rotation sequence and test spacings",
+     (("--Q", {"type": int, "help": "Farey order"}),
+      ("--alpha", {"type": float, "help": "rotation angle"}),
+      ("--count", {"type": int, "help": "rotation orbit length"}), _P, _SEED)),
+)
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="spacings", description=__doc__)
+    # the docstring's last paragraph is for readers of this module, not of --help
+    parser = _Parser(prog="spacings", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pmf", help="conditional spacing pmf table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--d-max", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(func=_cmd_pmf)
-
-    p = sub.add_parser("cdf", help="conditional spacing cdf table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--d-max", type=int, default=None)
-    p.add_argument("--closed-form", action="store_true",
-                   help="use the i=1 closed form instead of summing the pmf")
-    _add_format(p)
-    p.set_defaults(func=_cmd_cdf)
-
-    p = sub.add_parser("limit", help="geometric limit law table")
-    p.add_argument("--p", required=True)
-    p.add_argument("--d-max", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_limit)
-
-    p = sub.add_parser("sample", help="Monte Carlo spacing histogram on the grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("stream", help="inter-arrival gaps of the Bernoulli process")
-    p.add_argument("--p", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(func=_cmd_stream)
-
-    p = sub.add_parser("sweep", help="exact distance to the geometric limit vs n")
-    p.add_argument("--p", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--n-list", required=True)
-    p.add_argument("--d-max", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("oracle", help="exact enumeration vs closed form (small n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True, help="exact fraction a/b")
-    p.add_argument("--i", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("seq-sample",
-                       help="thin a Farey or rotation sequence and test spacings")
-    p.add_argument("--Q", type=int, default=None, help="Farey order")
-    p.add_argument("--alpha", type=float, default=None, help="rotation angle")
-    p.add_argument("--count", type=int, default=None, help="rotation orbit length")
-    p.add_argument("--p", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p)
-    p.set_defaults(func=_cmd_seq_sample)
-
+    for name, func, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
     return parser
 
 
 def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        args.func(args)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -130,7 +130,12 @@ def scaled_mean_exponential_check(spacings) -> DistanceReport:
         )
     if np.any(x <= 0.0):
         raise DomainError("spacings must be positive")
-    scaled = np.sort(x) / x.mean()
+    with np.errstate(over="ignore"):  # a sum past float range is redone below
+        mean = x.mean()
+    if not np.isfinite(mean):  # finite spacings: their mean is finite at scale 1/max
+        x = x / x.max()
+        mean = x.mean()
+    scaled = np.sort(x) / mean
     atoms, counts = np.unique(scaled, return_counts=True)
     emp_cdf = np.cumsum(counts) / x.size
     ks = float(np.abs(emp_cdf - (-np.expm1(-atoms))).max())

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_float, check_int
+from .distribution import GRID_N_MAX
+from .errors import DomainError, check_float, check_floats, check_int
 
 
 @dataclass(frozen=True)
@@ -25,10 +26,10 @@ class PointSet:
     descriptor: str
 
     def __post_init__(self) -> None:
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        pts = np.ascontiguousarray(check_floats(self.points, "points"))
         if pts.ndim != 1 or pts.size < 1:
             raise DomainError("a point set needs a 1-D array of at least one point")
-        if not np.all((pts >= 0.0) & (pts <= 1.0)):  # NaN fails both
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise DomainError("points must lie in [0, 1]")
         if np.any(np.diff(pts) <= 0.0):
             raise DomainError("points must be strictly increasing")
@@ -40,8 +41,8 @@ class PointSet:
 
 
 def grid(n) -> PointSet:
-    """The n+1 equally spaced points {0, 1/n, ..., 1}."""
-    n = check_int(n, "n", 1)
+    """The n+1 equally spaced points {0, 1/n, ..., 1}, for 1 <= n <= GRID_N_MAX."""
+    n = check_int(n, "n", 1, GRID_N_MAX)
     return PointSet(np.arange(n + 1) / n, f"grid({n})")
 
 

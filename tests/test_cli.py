@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import importlib
@@ -182,12 +183,54 @@ class TestSeqSample:
         capsys.readouterr()
 
 
+# every subcommand's options in declaration order: (flags, type, required, default)
+_N, _P, _I = (["--n"], int, True, None), (["--p"], None, True, None), (["--i"], int, True, None)
+_SEED, _FORMAT = (["--seed"], int, False, 0), (["--format"], None, False, "csv")
+_OPTIONS = {
+    "pmf": [_N, _P, _I, (["--d-max"], int, False, None), _FORMAT],
+    "cdf": [_N, _P, _I, (["--d-max"], int, False, None),
+            (["--closed-form"], None, False, False), _FORMAT],
+    "limit": [_P, (["--d-max"], int, True, None), _FORMAT],
+    "sample": [_N, _P, _I, (["--trials"], int, True, None), _SEED, _FORMAT],
+    "stream": [_P, (["--count"], int, True, None), _SEED, _FORMAT],
+    "sweep": [_P, _I, (["--n-list"], None, True, None), (["--d-max"], int, True, None),
+              _FORMAT],
+    "oracle": [_N, _P, _I, _FORMAT],
+    "seq-sample": [(["--Q"], int, False, None), (["--alpha"], float, False, None),
+                   (["--count"], int, False, None), _P, _SEED, _FORMAT],
+}
+
+
+def test_parser_declares_every_option():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_OPTIONS)
+    for name, expected in _OPTIONS.items():
+        command = sub.choices[name]
+        options = [(a.option_strings, a.type, a.required, a.default)
+                   for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        assert options == expected, name
+        assert command.get_default("func") is getattr(cli, "_cmd_" + name.replace("-", "_"))
+        format_option = next(a for a in command._actions if a.dest == "format")
+        assert format_option.choices == ("csv", "json")
+
+
 class TestExitCodes:
-    def test_usage_errors(self, capsys):
-        assert run(["no-such-command"]) == 1
-        assert run(["pmf", "--n", "2"]) == 1  # missing required flags
-        assert run([]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv", [
+        ["no-such-command"],
+        ["pmf", "--n", "2"],  # missing required flags
+        [],
+        ["--bogus"],
+        ["limit", "--p", "0.5", "--d-max", "3", "--bogus"],
+        ["limit", "--p", "0.5", "--d-max", "3", "--format", "xml"],
+        ["pmf", "--n", "x", "--p", "0.5", "--i", "1"],
+        ["seq-sample", "--Q", "10", "--alpha", "0.3", "--count", "5", "--p", "0.5"],
+        ["seq-sample", "--alpha", "0.3", "--p", "0.5"],  # --alpha without --count
+    ], ids=" ".join)
+    def test_usage_errors(self, capsys, argv):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_domain_errors(self, capsys):
         assert run(["pmf", "--n", "2", "--p", "0", "--i", "1"]) == 2
@@ -195,9 +238,11 @@ class TestExitCodes:
         assert run(["limit", "--p", "abc", "--d-max", "3"]) == 2
         capsys.readouterr()
 
-    def test_help_exits_zero(self, capsys):
-        assert run(["--help"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("command", [[], *([name] for name in _OPTIONS)], ids=str)
+    def test_help_exits_zero(self, capsys, command):
+        assert run([*command, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
 
     @pytest.mark.parametrize("argv", [
         ["cdf", "--n", "1", "--p", "1e-300", "--i", "1", "--closed-form"],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spacings as sp
+from spacings.distribution import GRID_N_MAX
 from spacings.errors import DomainError
 
 
@@ -27,9 +28,10 @@ class TestGrid:
     def test_size(self):
         assert len(sp.grid(1000)) == 1001
 
-    def test_invalid(self):
+    @pytest.mark.parametrize("n", [0, 2**60, GRID_N_MAX + 1])
+    def test_invalid(self, n):
         with pytest.raises(DomainError):
-            sp.grid(0)
+            sp.grid(n)
 
 
 class TestFarey:
@@ -114,6 +116,11 @@ class TestPointSet:
             sp.PointSet(np.array([0.0, 1.5]), "bad")
         with pytest.raises(DomainError):
             sp.PointSet(np.array([0.0, math.nan]), "bad")
+
+    @pytest.mark.parametrize("points", ["abc", [0.1, "a"], [0.1, None]])
+    def test_rejects_non_numbers(self, points):
+        with pytest.raises(DomainError, match="points"):
+            sp.PointSet(points, "bad")
 
     def test_points_are_read_only(self):
         ps = sp.grid(4)
