@@ -25,11 +25,13 @@ capped or not, so the cap changes no outcome beyond that probability.
 Reproducibility contract: a given (parameters, seed) pair produces
 bit-identical results on every run of the same build.  Trials are
 partitioned into blocks of a fixed size, so the block layout is a function
-of trials alone; block b draws from child b of
-``numpy.random.SeedSequence(seed)``, and block results merge by addition,
-so the outcome depends on (trials, seed) and the model alone, never on how
-many threads run the blocks.  Blocks run on one thread per CPU, and at most
-one thread per block of 65,536 trials.
+of trials alone.  Block b draws from
+``numpy.random.SeedSequence(seed, spawn_key=(b,))``, the same stream as
+child b of ``SeedSequence(seed).spawn(...)``, so any block can be
+recomputed from its index alone.  Block counts merge by exact integer
+addition, so the outcome depends on (trials, seed) and the model alone,
+never on how many threads run the blocks.  Blocks run on one thread per
+CPU, and at most one thread per block of 65,536 trials.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import os
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -175,9 +178,11 @@ class EmpiricalDistribution:
         return d, c
 
 
-def _simulate_block(child: np.random.SeedSequence, n: int, p: float, i: int,
-                    rows: int) -> tuple[np.ndarray, np.ndarray, int]:
-    rng = np.random.default_rng(child)
+def _simulate_block(seed: int, b: int, n: int, p: float, i: int,
+                    trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spacings retained by block b of ``trials`` grid trials, and their counts."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+    rows = min(_BLOCK_TRIALS, trials - b * _BLOCK_TRIALS)
     # (gamma q) / p, not gamma (q / p): a zero gamma draw gives 0, not 0 * inf = nan,
     # where q / p overflows; an overflow to inf is then capped
     with np.errstate(over="ignore"):
@@ -187,8 +192,7 @@ def _simulate_block(child: np.random.SeedSequence, n: int, p: float, i: int,
     # survivor i+1 on the grid; the int64 sum is at most 2 (n + 1) <= 2**54
     kept = failures + steps <= n + 1 - i
     # unique, not bincount: spacings can reach n, far beyond the row count
-    values, counts = np.unique(steps[kept], return_counts=True)
-    return values, counts, rows - int(np.count_nonzero(kept))
+    return np.unique(steps[kept], return_counts=True)
 
 
 def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
@@ -208,24 +212,18 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     """
     trials = check_int(trials, "trials", 1)
     params = ModelParams(n, p, i)
-    n, p, i = params.n, params.p, params.i
     seed = check_int(seed, "seed", 0, _SEED_MAX)
 
     n_blocks = (trials + _BLOCK_TRIALS - 1) // _BLOCK_TRIALS
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    sizes = [min(_BLOCK_TRIALS, trials - b * _BLOCK_TRIALS) for b in range(n_blocks)]
-
+    block = partial(_simulate_block, seed, n=params.n, p=params.p, i=params.i, trials=trials)
     with ThreadPoolExecutor(min(os.cpu_count() or 1, n_blocks)) as pool:
-        results = list(
-            pool.map(lambda b: _simulate_block(children[b], n, p, i, sizes[b]),
-                     range(n_blocks))
-        )
+        values, counts = map(np.concatenate, zip(*pool.map(block, range(n_blocks))))
 
-    support, where = np.unique(np.concatenate([r[0] for r in results]), return_inverse=True)
-    # float weights sum exactly while trials < 2**53
-    totals = np.bincount(where, weights=np.concatenate([r[1] for r in results])).astype(np.int64)
+    support, where = np.unique(values, return_inverse=True)
+    totals = np.zeros(support.size, np.int64)
+    np.add.at(totals, where, counts)
     return EmpiricalDistribution(dict(zip(support.tolist(), totals.tolist())),
-                                 sum(r[2] for r in results))
+                                 trials - int(totals.sum()))
 
 
 def inter_arrival_stream(p, seed, count) -> np.ndarray:

@@ -17,6 +17,9 @@ import numpy as np
 from .distribution import GRID_N_MAX
 from .errors import DomainError, check_float, check_floats, check_int
 
+# farey_pairs builds about 0.3 Q**2 Python tuples: 1,275,587 points at 2**11
+FAREY_ORDER_MAX = 2**11
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -50,9 +53,10 @@ def farey_pairs(order) -> list[tuple[int, int]]:
     """All reduced fractions in [0, 1] with denominator <= order, ascending.
 
     Uses the standard next-term recurrence: from neighbors a/b < c/d the
-    successor is (kc - a)/(kd - b) with k = (order + b) // d.
+    successor is (kc - a)/(kd - b) with k = (order + b) // d.  The order is
+    at most FAREY_ORDER_MAX.
     """
-    q = check_int(order, "Q", 1)
+    q = check_int(order, "Q", 1, FAREY_ORDER_MAX)
     out = [(0, 1)]
     a, b, c, d = 0, 1, 1, q
     while c <= q:

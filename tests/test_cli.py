@@ -19,6 +19,7 @@ import spacings as sp
 from spacings import cli
 from spacings.cli import run
 from spacings.distribution import GRID_N_MAX
+from spacings.sequences import FAREY_ORDER_MAX
 
 
 def _cli_env() -> dict[str, str]:
@@ -534,6 +535,7 @@ _UNDERFLOW_ARGVS = [["pmf", "--n", "2000", "--p", "0.5", "--i", "1500"],
                     ["cdf", "--n", "2000", "--p", "0.5", "--i", "1500", "--d-max", "5"],
                     ["sweep", "--p", "0.5", "--i", "1500", "--n-list", "2000,4000",
                      "--d-max", "5"]]
+_FAREY_OVERSIZE = ["seq-sample", "--Q", str(FAREY_ORDER_MAX + 1), "--p", "0.5"]
 
 
 def _edge_argvs() -> list[list[str]]:
@@ -555,7 +557,7 @@ def _edge_argvs() -> list[list[str]]:
     for p in _EDGE_P:
         argvs.append(["sample", "--n", "1000000", "--p", p, "--i", "1000000",
                       "--trials", "2", "--seed", "1"])
-    argvs += [_ROTATION_OVERFLOW, *_ROTATION_COUNTS, *_UNDERFLOW_ARGVS]
+    argvs += [_ROTATION_OVERFLOW, *_ROTATION_COUNTS, *_UNDERFLOW_ARGVS, _FAREY_OVERSIZE]
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 
@@ -567,10 +569,11 @@ def test_domain_edges_end_in_an_exit_code(capsys, argv):
     capsys.readouterr()
 
 
-def test_overflowing_rotation_writes_one_error_line():
+def test_oversized_seq_sample_writes_one_error_line():
     # k alpha overflows float64: refused before numpy can warn on stderr; of the
-    # counts, the first fails to allocate and the second is refused before k alpha
-    for argv in (_ROTATION_OVERFLOW, *_ROTATION_COUNTS):
+    # counts, the first fails to allocate and the second is refused before k alpha;
+    # the Farey order is refused before any pair is built
+    for argv in (_ROTATION_OVERFLOW, *_ROTATION_COUNTS, _FAREY_OVERSIZE):
         proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2, argv

@@ -149,6 +149,34 @@ class TestCollectEmpirical:
         assert emp.total + emp.discarded == trials
 
     @staticmethod
+    def _spawned_block(child, n, p, i, rows):
+        """Block histogram from one ``spawn`` child, by the same three draws.
+
+        The clips to n + 1 are left out: they change no kept spacing.
+        """
+        rng = np.random.default_rng(child)
+        lam = np.minimum(rng.standard_gamma(i, rows) * (1 - p) / p, 2.0**62)
+        failures, steps = rng.poisson(lam), rng.geometric(p, rows)
+        return np.unique(steps[failures + steps <= n + 1 - i], return_counts=True)
+
+    def test_blocks_are_their_index(self):
+        n, p, i, seed = 40, 0.1, 3, 515
+        trials = 2 * sampler._BLOCK_TRIALS + 1  # three blocks, the last of one trial
+        merged = {}
+        for b, child in enumerate(np.random.SeedSequence(seed).spawn(3)):
+            values, counts = sampler._simulate_block(seed, b, n, p, i, trials)
+            rows = min(sampler._BLOCK_TRIALS, trials - b * sampler._BLOCK_TRIALS)
+            ref_values, ref_counts = self._spawned_block(child, n, p, i, rows)
+            assert np.array_equal(values, ref_values) and np.array_equal(counts, ref_counts)
+            assert counts.sum() <= rows
+            for v, c in zip(values.tolist(), counts.tolist()):
+                merged[v] = merged.get(v, 0) + c
+        assert rows == 1
+        emp = sp.collect_empirical(n, p, i, trials, seed)
+        assert emp == sp.EmpiricalDistribution(merged, trials - sum(merged.values()))
+        assert 0 < emp.discarded < trials
+
+    @staticmethod
     def _with_cpus(monkeypatch, cpus, *args):
         """collect_empirical(*args) on a machine that reports ``cpus`` CPUs.
 

@@ -6,6 +6,7 @@ import pytest
 import spacings as sp
 from spacings.distribution import GRID_N_MAX
 from spacings.errors import DomainError
+from spacings.sequences import FAREY_ORDER_MAX
 
 
 def _totients(limit):
@@ -59,9 +60,11 @@ class TestFarey:
         for a, b in sp.farey_pairs(40):
             assert math.gcd(a, b) == 1 and 1 <= b <= 40
 
-    def test_invalid(self):
+    @pytest.mark.parametrize("build", [sp.farey, sp.farey_pairs])
+    @pytest.mark.parametrize("order", [0, FAREY_ORDER_MAX + 1])
+    def test_invalid(self, build, order):
         with pytest.raises(DomainError):
-            sp.farey(0)
+            build(order)
 
 
 class TestRotation:
