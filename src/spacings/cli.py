@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import json
 import os
 import sys
 from fractions import Fraction
@@ -83,6 +82,8 @@ def _emit(columns: dict, fmt: str) -> None:
     numeric = all(kind in "iuf" for kind in kinds)
     out = sys.stdout
     if fmt == "json":
+        import json  # only here: a CSV request does not load it
+
         fields = (json.dumps(k).replace("%", "%%") + (": %r" if kind == "f" else ": %d")
                   for k, kind in zip(keys, kinds))
         row = "{" + ", ".join(fields) + "}"

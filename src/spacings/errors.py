@@ -3,6 +3,8 @@ that raise them."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -84,3 +86,16 @@ def check_floats(values, name: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise DomainError(f"{name} must be finite")
     return array
+
+
+@contextmanager
+def checked_allocation():
+    """Turn a failed allocation inside the block into DomainError, with numpy's message.
+
+    For arrays whose size a caller chose within its bounds but this host
+    cannot hold, such as ``grid(2**50)``'s 8 PiB.
+    """
+    try:
+        yield
+    except MemoryError as exc:
+        raise DomainError(str(exc) or "out of memory") from exc

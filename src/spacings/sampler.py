@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -213,6 +212,8 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     trials = check_int(trials, "trials", 1)
     params = ModelParams(n, p, i)
     seed = check_int(seed, "seed", 0, _SEED_MAX)
+
+    from concurrent.futures import ThreadPoolExecutor  # loaded per call, not with the layer
 
     n_blocks = (trials + _BLOCK_TRIALS - 1) // _BLOCK_TRIALS
     block = partial(_simulate_block, seed, n=params.n, p=params.p, i=params.i, trials=trials)

@@ -368,6 +368,47 @@ def test_no_subcommand_imports_scipy():
     assert proc.stdout.splitlines()[-1] == ""
 
 
+# Runs one argv in a fresh process and prints its exit code, the layers that
+# ran (a registered layer that has not run is not a plain module) and the
+# watched stdlib modules the package loaded.
+_LAYER_PROBE = """
+import contextlib, io, sys, types
+before = set(sys.modules)
+from spacings.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+ran = sorted(k.partition(".")[2] for k, m in sys.modules.items()
+             if k.startswith("spacings.") and k != "spacings.cli" and type(m) is types.ModuleType)
+loaded = sorted(m for m in ("concurrent.futures", "json") if m in set(sys.modules) - before)
+print(code, ",".join(ran), ",".join(loaded))
+"""
+
+_EXACT = "distribution,errors,logprob"
+_MONTE_CARLO = "distribution,errors,logprob,sampler,sequences"
+_DIAGNOSED = "diagnostics,distribution,errors,logprob,sampler,sequences"
+
+
+@pytest.mark.parametrize("argv, layers, stdlib", [
+    (["pmf", "--n", "100", "--p", "0.3", "--i", "2"], _EXACT, ""),
+    (["pmf", "--n", "100", "--p", "0.3", "--i", "2", "--format", "json"], _EXACT, "json"),
+    (["cdf", "--n", "100", "--p", "0.3", "--i", "1", "--closed-form"], _EXACT, ""),
+    (["limit", "--p", "0.3", "--d-max", "5"], _EXACT, ""),
+    (["stream", "--p", "0.3", "--count", "5"], _MONTE_CARLO, ""),
+    (["sample", "--n", "50", "--p", "0.3", "--i", "1", "--trials", "20"], _MONTE_CARLO,
+     "concurrent.futures"),
+    (["sweep", "--p", "0.3", "--i", "1", "--n-list", "10,100", "--d-max", "5"], _DIAGNOSED, ""),
+    (["seq-sample", "--Q", "8", "--p", "0.5"], _DIAGNOSED, ""),
+    (["seq-sample", "--alpha", "0.3", "--count", "50", "--p", "0.5", "--format", "json"],
+     _DIAGNOSED, "json"),
+    (["oracle", "--n", "6", "--p", "1/3", "--i", "2"], "distribution,errors,logprob,oracle", ""),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_subcommand_runs_only_its_layers(argv, layers, stdlib):
+    proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *argv], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == f"0 {layers} {stdlib}"
+
+
 def _reference_emit(columns: dict, fmt: str, out) -> None:
     """Reference emitter: the same table through csv.writer and json.dumps, row by row."""
     keys = list(columns)

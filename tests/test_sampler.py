@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import time
@@ -184,14 +185,15 @@ class TestCollectEmpirical:
         """
         threads = []
 
-        class Recorder(sampler.ThreadPoolExecutor):
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 threads.append(max_workers)
                 super().__init__(max_workers)
 
         with monkeypatch.context() as m:
             m.setattr(os, "cpu_count", lambda: cpus)
-            m.setattr(sampler, "ThreadPoolExecutor", Recorder)
+            # collect_empirical imports the executor when it is called
+            m.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
             emp = sp.collect_empirical(*args)
         return emp, threads[0]
 

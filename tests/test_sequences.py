@@ -29,7 +29,7 @@ class TestGrid:
     def test_size(self):
         assert len(sp.grid(1000)) == 1001
 
-    @pytest.mark.parametrize("n", [0, 2**60, GRID_N_MAX + 1])
+    @pytest.mark.parametrize("n", [0, 2**50, 2**60, GRID_N_MAX + 1])
     def test_invalid(self, n):
         with pytest.raises(DomainError):
             sp.grid(n)
@@ -107,6 +107,9 @@ class TestRotation:
         for count in (2**53 + 1, 10**400):
             with pytest.raises(DomainError, match="<= 9007199254740992"):
                 sp.rotation(0.5, count)
+        # within the bound but too large for this host to allocate
+        with pytest.raises(DomainError, match="Unable to allocate"):
+            sp.rotation(0.5, 10**15)
 
 
 class TestPointSet:
