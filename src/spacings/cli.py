@@ -8,7 +8,10 @@ digits so they round-trip exactly.
 
 Each subcommand is declared once, as an entry of ``_COMMANDS`` (name,
 handler, help text, options); options shared by several subcommands are
-the specs ``_N``, ``_P``, ``_I``, ``_SEED`` and ``_D_MAX``.
+the specs ``_N``, ``_P``, ``_I``, ``_SEED`` and ``_D_MAX``.  Importing this
+module runs no layer but ``errors`` and imports no numpy: the handlers
+read the layers' names when they run, and import numpy only where they
+build arrays, so ``oracle``, ``--help`` and usage errors run without it.
 """
 
 from __future__ import annotations
@@ -20,17 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import diagnostics, oracle, sampler, sequences
-from .distribution import (
-    GRID_N_MAX,
-    ModelParams,
-    cdf_scaled_closed_i1,
-    limit_cdf,
-    limit_pmf,
-    spacing_distribution,
-)
+from . import diagnostics, distribution, oracle, sampler, sequences
 from .errors import DomainError, EmptySampleError, check_int
 
 
@@ -59,6 +52,7 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 _CHUNK = 4096  # rows formatted and written at a time
+_PYTHON = (range, list, tuple)  # columns of Python values; any other column is an array
 
 
 def _emit(columns: dict, fmt: str) -> None:
@@ -68,17 +62,19 @@ def _emit(columns: dict, fmt: str) -> None:
     ``str``, and nothing at all for an empty table; JSON is the text
     ``json.dump`` gives for the list of row objects.
 
-    When every column is an integer or float array, each chunk of rows is
-    one ``%``-template filled in a single operation and written with one
-    ``write``: ``'%.17g' % x`` is ``format(x, '.17g')`` and ``'%r' % x`` is
-    ``json.dumps(x)`` for every finite float.  Tables with other columns
-    (strings, bools, objects), and JSON chunks holding a NaN or an infinity,
-    take ``csv.writer`` and ``json.dumps`` instead.
+    A column is a numpy array or a ``range``, list or tuple of Python
+    values, and the column types choose the path.  When every column is an
+    integer or float array, each chunk of rows is one ``%``-template filled
+    in a single operation and written with one ``write``: ``'%.17g' % x`` is
+    ``format(x, '.17g')`` and ``'%r' % x`` is ``json.dumps(x)`` for every
+    finite float.  Other tables (Python values, strings, bools, objects),
+    and JSON chunks holding a NaN or an infinity, take ``csv.writer`` and
+    ``json.dumps`` instead; a table of Python values needs no numpy.
     """
     keys = list(columns)
-    cols = [np.asarray(c) for c in columns.values()]
+    cols = list(columns.values())
     size = len(cols[0])
-    kinds = [c.dtype.kind for c in cols]
+    kinds = ["O" if isinstance(c, _PYTHON) else c.dtype.kind for c in cols]
     numeric = all(kind in "iuf" for kind in kinds)
     out = sys.stdout
     if fmt == "json":
@@ -90,11 +86,10 @@ def _emit(columns: dict, fmt: str) -> None:
         out.write("[")
         for start in range(0, size, _CHUNK):
             chunk = [c[start : start + _CHUNK] for c in cols]
-            if numeric and all(np.isfinite(c).all() for c, kind in zip(chunk, kinds)
-                               if kind == "f"):
+            if numeric and _finite(chunk, kinds):
                 text = ", ".join([row] * len(chunk[0])) % _interleave(chunk)
             else:
-                rows = zip(*(c.tolist() for c in chunk))
+                rows = zip(*map(_values, chunk))
                 text = json.dumps([dict(zip(keys, r)) for r in rows])[1:-1]
             out.write((", " if start else "") + text)
         out.write("]\n")
@@ -109,53 +104,70 @@ def _emit(columns: dict, fmt: str) -> None:
         if numeric:
             out.write(line * len(chunk[0]) % _interleave(chunk))
             continue
-        cells = [[format(v, ".17g") for v in c.tolist()] if kind == "f" else c.tolist()
-                 for c, kind in zip(chunk, kinds)]
+        cells = [[format(v, ".17g") if isinstance(v, float) else v for v in _values(c)]
+                 for c in chunk]
         writer.writerows(zip(*cells))
 
 
+def _values(column):
+    """A column's cells as Python values."""
+    return column if isinstance(column, _PYTHON) else column.tolist()
+
+
+def _finite(chunk: list, kinds: list) -> bool:
+    """Whether every float array of a chunk of array columns is finite."""
+    import numpy as np  # the columns are arrays, so numpy is loaded already
+
+    return all(np.isfinite(c).all() for c, kind in zip(chunk, kinds) if kind == "f")
+
+
 def _interleave(chunk: list) -> tuple:
-    """The cells of equal-length columns in row-major order, as Python values."""
+    """The cells of equal-length array columns in row-major order, as Python values."""
     flat = [None] * (len(chunk) * len(chunk[0]))
     for j, c in enumerate(chunk):
         flat[j :: len(chunk)] = c.tolist()
     return tuple(flat)
 
 
-def _steps(d_max, n=None) -> np.ndarray:
+def _steps(d_max, n=None):
     """d = 1..min(d_max, n); all of 1..n without --d-max, all of 1..d_max without n.
 
     Without n, d_max is bounded by the grid bound GRID_N_MAX.
     """
+    import numpy as np
+
     if d_max is not None:
-        d_max = check_int(d_max, "--d-max", 1, GRID_N_MAX if n is None else None)
+        bound = distribution.GRID_N_MAX if n is None else None
+        d_max = check_int(d_max, "--d-max", 1, bound)
         n = d_max if n is None else min(d_max, n)
     return np.arange(1, n + 1)
 
 
 def _cmd_pmf(args) -> None:
-    params = ModelParams(args.n, _parse_p(args.p), args.i)
+    params = distribution.ModelParams(args.n, _parse_p(args.p), args.i)
     d = _steps(args.d_max, params.n)
-    mass, cdf = spacing_distribution(params).head(d.size)
-    _emit({"d": d, "pmf": mass, "cdf": cdf, "limit_cdf": limit_cdf(params.p, d)}, args.format)
+    mass, cdf = distribution.spacing_distribution(params).head(d.size)
+    _emit({"d": d, "pmf": mass, "cdf": cdf,
+           "limit_cdf": distribution.limit_cdf(params.p, d)}, args.format)
 
 
 def _cmd_cdf(args) -> None:
-    params = ModelParams(args.n, _parse_p(args.p), args.i)
+    params = distribution.ModelParams(args.n, _parse_p(args.p), args.i)
     if args.closed_form and params.i != 1:
         raise DomainError("--closed-form is only available for --i 1")
     d = _steps(args.d_max, params.n)
     if args.closed_form:
-        cdf = cdf_scaled_closed_i1(params.n, params.p, d)
+        cdf = distribution.cdf_scaled_closed_i1(params.n, params.p, d)
     else:
-        cdf = spacing_distribution(params).head(d.size)[1]
-    _emit({"d": d, "cdf": cdf, "limit_cdf": limit_cdf(params.p, d)}, args.format)
+        cdf = distribution.spacing_distribution(params).head(d.size)[1]
+    _emit({"d": d, "cdf": cdf, "limit_cdf": distribution.limit_cdf(params.p, d)}, args.format)
 
 
 def _cmd_limit(args) -> None:
     p = _parse_p(args.p)
     d = _steps(args.d_max)
-    _emit({"d": d, "limit_pmf": limit_pmf(p, d), "limit_cdf": limit_cdf(p, d)}, args.format)
+    _emit({"d": d, "limit_pmf": distribution.limit_pmf(p, d),
+           "limit_cdf": distribution.limit_cdf(p, d)}, args.format)
 
 
 def _cmd_sample(args) -> None:
@@ -164,11 +176,13 @@ def _cmd_sample(args) -> None:
     total = emp.total
     d, counts = emp.as_arrays()
     _emit({"d": d, "count": counts, "empirical_mass": counts / total,
-           "limit_pmf": limit_pmf(p, d)}, args.format)
+           "limit_pmf": distribution.limit_pmf(p, d)}, args.format)
     print(f"retained={total} discarded={emp.discarded}", file=sys.stderr)
 
 
 def _cmd_stream(args) -> None:
+    import numpy as np
+
     p = _parse_p(args.p)
     gaps = sampler.inter_arrival_stream(p, args.seed, args.count)
     _emit({"k": np.arange(1, gaps.size + 1), "inter_arrival": gaps}, args.format)
@@ -202,6 +216,8 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_seq_sample(args) -> None:
+    import numpy as np
+
     p = _parse_p(args.p)
     if (args.Q is None) == (args.alpha is None):
         raise _UsageError("pass exactly one of --Q (Farey) or --alpha (rotation)")

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distribution import ModelParams, limit_cdf, limit_pmf, spacing_distribution
 from .errors import DomainError, EmptySampleError, check_floats, check_int, check_p
-from .sampler import EmpiricalDistribution
+
+if TYPE_CHECKING:  # annotations only: a sweep does not run the sampler
+    from .sampler import EmpiricalDistribution
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,15 @@ is summed from i outward with a 60-nat cut-off, O(min(i, sd)) terms.
 Everything is evaluated in log domain (see :mod:`spacings.logprob`) so that
 large grids neither underflow nor lose normalization.  Each parameter
 triple logs its log T at DEBUG level to the ``spacings`` logger, which is
-silent unless configured.
+silent unless configured.  The line is written only once ``logging`` has
+been imported: until then no handler or level exists that could show it,
+so the module does not import ``logging`` itself.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -60,7 +62,6 @@ from .errors import DomainError, check_float, check_int, check_ints, check_p
 from .logprob import LogProb, log_binom_pmf, log_binomial, log_pow
 
 _NEG_INF = float("-inf")
-_LOG = logging.getLogger("spacings")
 
 # Terms this many nats below the running maximum of a unimodal sum are
 # collectively negligible (n * exp(-60) < 1e-19 even at n = 1e6).
@@ -190,7 +191,10 @@ def _log_survivor_weight(j, p: float, i: int) -> float | np.ndarray:
 def _table_masses(params: ModelParams) -> float:
     """log T, the per-triple state shared by every block of masses."""
     log_t = size_tail(params.n, params.p, params.i).log
-    _LOG.debug("exact law n=%d p=%r i=%d: log T=%.17g", params.n, params.p, params.i, log_t)
+    logging = sys.modules.get("logging")  # not imported: nothing could show the line
+    if logging is not None:
+        logging.getLogger("spacings").debug("exact law n=%d p=%r i=%d: log T=%.17g",
+                                            params.n, params.p, params.i, log_t)
     return log_t
 
 

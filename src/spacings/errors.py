@@ -1,11 +1,13 @@
 """Exception types shared across the package, and the parameter checks
-that raise them."""
+that raise them.
+
+numpy is imported only by the array checks, ``check_ints`` past its
+plain-int case and ``check_floats``, so scalar checks run without it.
+"""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-
-import numpy as np
 
 
 class DomainError(ValueError):
@@ -61,7 +63,11 @@ def check_ints(values, name: str, lo: int, hi: int | None = None):
     An array is checked whole, by dtype, min and max, and returned as numpy
     made it; floats, text and integers beyond 64 bits raise DomainError.
     """
-    if isinstance(values, (int, np.integer)):  # the common scalar, without an array
+    if isinstance(values, int):  # the common scalar, without numpy
+        return check_int(values, name, lo, hi)
+    import numpy as np
+
+    if isinstance(values, np.integer):  # a numpy scalar, without an array
         return check_int(values, name, lo, hi)
     try:
         array = np.asarray(values)
@@ -77,8 +83,10 @@ def check_ints(values, name: str, lo: int, hi: int | None = None):
     return array
 
 
-def check_floats(values, name: str) -> np.ndarray:
+def check_floats(values, name: str):
     """``values`` as a float64 array of finite values, or DomainError."""
+    import numpy as np
+
     try:
         array = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:

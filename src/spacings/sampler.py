@@ -41,12 +41,15 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distribution import ModelParams
 from .errors import DomainError, EmptySampleError, check_int, check_ints, check_p
-from .sequences import PointSet
+
+if TYPE_CHECKING:  # annotations only: grid Monte Carlo does not run sequences
+    from .sequences import PointSet
 
 _BLOCK_TRIALS = 1 << 16  # grid trials drawn per block
 _LAM_CAP = 2.0**62  # below numpy's largest Poisson mean; see the module docstring

@@ -379,34 +379,53 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
 ran = sorted(k.partition(".")[2] for k, m in sys.modules.items()
              if k.startswith("spacings.") and k != "spacings.cli" and type(m) is types.ModuleType)
-loaded = sorted(m for m in ("concurrent.futures", "json") if m in set(sys.modules) - before)
+loaded = sorted(m for m in ("concurrent.futures", "json", "logging", "numpy")
+                if m in set(sys.modules) - before)
 print(code, ",".join(ran), ",".join(loaded))
 """
 
 _EXACT = "distribution,errors,logprob"
-_MONTE_CARLO = "distribution,errors,logprob,sampler,sequences"
+_MONTE_CARLO = "distribution,errors,logprob,sampler"
 _DIAGNOSED = "diagnostics,distribution,errors,logprob,sampler,sequences"
 
 
-@pytest.mark.parametrize("argv, layers, stdlib", [
-    (["pmf", "--n", "100", "--p", "0.3", "--i", "2"], _EXACT, ""),
-    (["pmf", "--n", "100", "--p", "0.3", "--i", "2", "--format", "json"], _EXACT, "json"),
-    (["cdf", "--n", "100", "--p", "0.3", "--i", "1", "--closed-form"], _EXACT, ""),
-    (["limit", "--p", "0.3", "--d-max", "5"], _EXACT, ""),
-    (["stream", "--p", "0.3", "--count", "5"], _MONTE_CARLO, ""),
-    (["sample", "--n", "50", "--p", "0.3", "--i", "1", "--trials", "20"], _MONTE_CARLO,
-     "concurrent.futures"),
-    (["sweep", "--p", "0.3", "--i", "1", "--n-list", "10,100", "--d-max", "5"], _DIAGNOSED, ""),
-    (["seq-sample", "--Q", "8", "--p", "0.5"], _DIAGNOSED, ""),
-    (["seq-sample", "--alpha", "0.3", "--count", "50", "--p", "0.5", "--format", "json"],
-     _DIAGNOSED, "json"),
-    (["oracle", "--n", "6", "--p", "1/3", "--i", "2"], "distribution,errors,logprob,oracle", ""),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_each_subcommand_runs_only_its_layers(argv, layers, stdlib):
+def _probe(argv) -> str:
+    """'<exit code> <layers run> <watched modules loaded>' of ``argv`` in a fresh process."""
     proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *argv], env=_cli_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[-2] == f"0 {layers} {stdlib}"
+    return proc.stdout.split("\n")[-2]
+
+
+@pytest.mark.parametrize("argv, layers, stdlib", [
+    (["pmf", "--n", "100", "--p", "0.3", "--i", "2"], _EXACT, "numpy"),
+    (["pmf", "--n", "100", "--p", "0.3", "--i", "2", "--format", "json"], _EXACT, "json,numpy"),
+    (["cdf", "--n", "100", "--p", "0.3", "--i", "1", "--closed-form"], _EXACT, "numpy"),
+    (["limit", "--p", "0.3", "--d-max", "5"], _EXACT, "numpy"),
+    (["stream", "--p", "0.3", "--count", "5"], _MONTE_CARLO, "numpy"),
+    (["sample", "--n", "50", "--p", "0.3", "--i", "1", "--trials", "20"], _MONTE_CARLO,
+     "concurrent.futures,logging,numpy"),  # concurrent.futures imports logging
+    (["sweep", "--p", "0.3", "--i", "1", "--n-list", "10,100", "--d-max", "5"],
+     "diagnostics,distribution,errors,logprob", "numpy"),
+    (["seq-sample", "--Q", "8", "--p", "0.5"], _DIAGNOSED, "numpy"),
+    (["seq-sample", "--alpha", "0.3", "--count", "50", "--p", "0.5", "--format", "json"],
+     _DIAGNOSED, "json,numpy"),
+    (["oracle", "--n", "6", "--p", "1/3", "--i", "2"], "errors,oracle", ""),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_subcommand_runs_only_its_layers(argv, layers, stdlib):
+    assert _probe(argv) == f"0 {layers} {stdlib}"
+
+
+@pytest.mark.parametrize("argv, probed", [
+    (["oracle", "--n", "16", "--p", "1/3", "--i", "2"], "0 errors,oracle "),
+    (["oracle", "--n", "16", "--p", "1/3", "--i", "2", "--format", "json"],
+     "0 errors,oracle json"),
+    (["--help"], "0 errors "),
+    (["pmf", "--n", "5"], "1 errors "),  # usage error: --p and --i missing
+    (["oracle", "--n", "6", "--p", "0.5", "--i", "2"], "2 errors "),  # --p must be a/b
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_requests_that_build_no_array_leave_numpy_unloaded(argv, probed):
+    assert _probe(argv) == probed
 
 
 def _reference_emit(columns: dict, fmt: str, out) -> None:

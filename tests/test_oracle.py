@@ -119,3 +119,17 @@ def test_gap_counts_at_the_cap(i):
     assert sorted(got) == _reference_gap_counts(16, i)
     assert sum(c for _, _, c in got) == sum(math.comb(17, k) for k in range(i + 1, 18))
     assert peak < 2**20
+
+
+def _formula_gap_counts(n, i):
+    """c(k, d) = sum_j C(j, i-1) C(n-j-d, k-i-1): the i-th survivor at j, the next at j + d."""
+    return [(k, d, c) for k in range(i + 1, n + 2) for d in range(1, n + 1)
+            if (c := sum(math.comb(j, i - 1) * math.comb(n - j - d, k - i - 1)
+                         for j in range(i - 1, n - d + 1)))]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_gap_counts_equal_the_formula_in_counts(n):
+    # equal p-free counts make the enumerated and closed-form laws equal at every p in (0, 1]
+    for i in range(1, n + 1):
+        assert list(_gap_counts(n, i)) == _formula_gap_counts(n, i)

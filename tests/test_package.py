@@ -121,13 +121,13 @@ import sys, types
 import spacings
 sys.modules["numpy"] = None  # the layer's own import of numpy fails
 try:
-    spacings.DomainError
+    spacings.LogProb
 except ImportError:
-    print("raised", type(sys.modules["spacings.errors"]).__name__)
+    print("raised", type(sys.modules["spacings.logprob"]).__name__)
 del sys.modules["numpy"]
-print(spacings.DomainError.__name__, type(sys.modules["spacings.errors"]) is types.ModuleType)
+print(spacings.LogProb.__name__, type(sys.modules["spacings.logprob"]) is types.ModuleType)
 """
 
 
 def test_a_layer_whose_code_raised_runs_again_on_the_next_read():
-    assert _in_fresh_process(_RETRY).splitlines() == ["raised _Registered", "DomainError True"]
+    assert _in_fresh_process(_RETRY).splitlines() == ["raised _Registered", "LogProb True"]
