@@ -9,22 +9,25 @@ digits so they round-trip exactly.
 Each subcommand is declared once, as an entry of ``_COMMANDS`` (name,
 handler, help text, options); options shared by several subcommands are
 the specs ``_N``, ``_P``, ``_I``, ``_SEED`` and ``_D_MAX``.  Importing this
-module runs no layer but ``errors`` and imports no numpy: the handlers
-read the layers' names when they run, and import numpy only where they
-build arrays, so ``oracle``, ``--help`` and usage errors run without it.
+module runs no layer but ``errors`` and imports none of numpy,
+``fractions``, ``csv`` or ``json``: the handlers read the layers' names
+when they run, and each of those modules is imported only where it is
+used.  numpy is imported where arrays are built, so ``oracle``, ``--help``
+and usage errors run without it; ``fractions`` only for a ``--p`` written
+as a/b (and by the oracle); ``csv`` only for a table of text cells, the
+oracle's; ``json`` only for ``--format json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
+import math
 import os
 import sys
-from fractions import Fraction
 
 from . import diagnostics, distribution, oracle, sampler, sequences
-from .errors import DomainError, EmptySampleError, check_int
+from .errors import GRID_N_MAX, DomainError, EmptySampleError, check_int
 
 
 class _UsageError(Exception):
@@ -37,10 +40,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_p(text: str) -> float:
+    """``--p`` as a float: a decimal number, or an a/b fraction rounded once.
+
+    The value is ``float(Fraction(text))``, computed without ``Fraction``
+    unless the text holds a ``/``, so only a/b text imports ``fractions``.
+    Other text is read by ``float``, which rounds a decimal correctly, as
+    ``Fraction`` does, in time linear in the text whatever its exponent;
+    ``Fraction`` would build 10**N for an exponent N.  Three details keep
+    ``Fraction``'s reading: surrounding whitespace is stripped first
+    (``float`` alone refuses the separators U+001C to U+001F); ``nan``,
+    ``inf`` and decimals beyond the float range are refused; and an exact
+    zero reads as 0.0 whatever its sign, as a fraction has no -0 (a
+    negative decimal that underflows still reads -0.0).  One difference is
+    left: a decimal of more than 4300 digits, which ``Fraction`` refuses
+    under Python's limit on integer text, is read.
+    """
+    message = f"--p {text!r} is not a number or a/b fraction"
+    if "/" in text:
+        from fractions import Fraction
+
+        try:
+            return float(Fraction(text))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(message) from exc
+    text = text.strip()
     try:
-        value = float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"--p {text!r} is not a number or a/b fraction") from exc
+        value = float(text)
+    except ValueError as exc:
+        raise DomainError(message) from exc
+    if not math.isfinite(value):
+        raise DomainError(message)
+    if value == 0.0 and not any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0]):
+        return 0.0  # every digit before the exponent is 0
     return value
 
 
@@ -67,9 +98,10 @@ def _emit(columns: dict, fmt: str) -> None:
     integer or float array, each chunk of rows is one ``%``-template filled
     in a single operation and written with one ``write``: ``'%.17g' % x`` is
     ``format(x, '.17g')`` and ``'%r' % x`` is ``json.dumps(x)`` for every
-    finite float.  Other tables (Python values, strings, bools, objects),
-    and JSON chunks holding a NaN or an infinity, take ``csv.writer`` and
-    ``json.dumps`` instead; a table of Python values needs no numpy.
+    finite float, and the CSV header is the keys joined by commas.  Other
+    tables (Python values, strings, bools, objects), and JSON chunks holding
+    a NaN or an infinity, take ``csv.writer`` and ``json.dumps`` instead; a
+    table of Python values needs no numpy, and a table of numbers no ``csv``.
     """
     keys = list(columns)
     cols = list(columns.values())
@@ -96,14 +128,19 @@ def _emit(columns: dict, fmt: str) -> None:
         return
     if not size:
         return
+    if numeric:  # the package's own column names: no header cell needs quoting
+        out.write(",".join(keys) + "\n")
+        line = ",".join("%.17g" if kind == "f" else "%d" for kind in kinds) + "\n"
+        for start in range(0, size, _CHUNK):
+            chunk = [c[start : start + _CHUNK] for c in cols]
+            out.write(line * len(chunk[0]) % _interleave(chunk))
+        return
+    import csv  # only here: a table of numbers does not load it
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(keys)
-    line = ",".join("%.17g" if kind == "f" else "%d" for kind in kinds) + "\n"
     for start in range(0, size, _CHUNK):
         chunk = [c[start : start + _CHUNK] for c in cols]
-        if numeric:
-            out.write(line * len(chunk[0]) % _interleave(chunk))
-            continue
         cells = [[format(v, ".17g") if isinstance(v, float) else v for v in _values(c)]
                  for c in chunk]
         writer.writerows(zip(*cells))
@@ -137,7 +174,7 @@ def _steps(d_max, n=None):
     import numpy as np
 
     if d_max is not None:
-        bound = distribution.GRID_N_MAX if n is None else None
+        bound = GRID_N_MAX if n is None else None
         d_max = check_int(d_max, "--d-max", 1, bound)
         n = d_max if n is None else min(d_max, n)
     return np.arange(1, n + 1)
@@ -189,9 +226,11 @@ def _cmd_stream(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
+    import numpy as np
+
     p = _parse_p(args.p)
     result = diagnostics.convergence_sweep(p, args.i, _parse_n_list(args.n_list), args.d_max)
-    ns, sups = zip(*result)
+    ns, sups = map(np.array, zip(*result))
     _emit({"n": ns, "sup_distance": sups}, args.format)
 
 

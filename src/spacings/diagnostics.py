@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distribution import ModelParams, limit_cdf, limit_pmf, spacing_distribution
+from . import distribution  # registered, not run: its names are read when a function runs
 from .errors import DomainError, EmptySampleError, check_floats, check_int, check_p
 
 if TYPE_CHECKING:  # annotations only: a sweep does not run the sampler
@@ -60,9 +60,9 @@ def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
     below = atoms - 1
     inner = below >= 1
     before = np.concatenate(([0.0], emp_cdf[:-1]))[inner]
-    ks = max(float(np.abs(emp_cdf - limit_cdf(p, atoms)).max()),
-             float(np.abs(before - limit_cdf(p, below[inner])).max(initial=0.0)))
-    geo_mass = limit_pmf(p, atoms)
+    ks = max(float(np.abs(emp_cdf - distribution.limit_cdf(p, atoms)).max()),
+             float(np.abs(before - distribution.limit_cdf(p, below[inner])).max(initial=0.0)))
+    geo_mass = distribution.limit_pmf(p, atoms)
     unobserved = max(1.0 - math.fsum(geo_mass), 0.0)
     tv = 0.5 * (float(np.abs(emp_mass - geo_mass).sum()) + unobserved)
     return DistanceReport(ks=ks, tv=min(tv, 1.0), n_effective=emp.total)
@@ -110,10 +110,11 @@ def convergence_sweep(p, i, n_list, d_max) -> list[tuple[int, float]]:
         raise DomainError("n_list must not be empty")
     if d_max > min(ns):
         raise DomainError(f"d_max={d_max} exceeds the smallest n={min(ns)}")
-    limit = limit_cdf(p, np.arange(1, d_max + 1))
+    limit = distribution.limit_cdf(p, np.arange(1, d_max + 1))
     out = []
     for n in sorted(ns):
-        cdf = spacing_distribution(ModelParams(n, p, i)).head(d_max)[1]
+        params = distribution.ModelParams(n, p, i)
+        cdf = distribution.spacing_distribution(params).head(d_max)[1]
         sup = float(np.abs(cdf - limit).max())
         out.append((n, sup))
     return out

@@ -58,7 +58,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_float, check_int, check_ints, check_p
+from .errors import GRID_N_MAX, DomainError, check_float, check_int, check_ints, check_p
 from .logprob import LogProb, log_binom_pmf, log_binomial, log_pow
 
 _NEG_INF = float("-inf")
@@ -71,8 +71,6 @@ _CHUNK = 4096
 # A relative series tail below 2**-55 leaves every later term under half an
 # ulp of the sum, with a factor 2 to spare for rounding.
 _LOG_TAIL_BOUND = -55 * math.log(2.0)
-# The largest grid size n: float64 holds every grid index and n + 1 exactly.
-GRID_N_MAX = 2**53 - 2
 # The i = 1 closed form is refused below this (n+1)p, where its error passes 1e-12.
 _CLOSED_FORM_MIN_NP = 1.25e-3
 # DistributionTable.validate's bound on |sum of masses - 1|.

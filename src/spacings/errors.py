@@ -3,11 +3,17 @@ that raise them.
 
 numpy is imported only by the array checks, ``check_ints`` past its
 plain-int case and ``check_floats``, so scalar checks run without it.
+``GRID_N_MAX`` is the bound of every grid size n and of a d-max given
+without n; it lives here, beside the checks that use it, so that the
+point-set generators and the CLI read it without running the exact law.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+
+# The largest grid size n: float64 holds every grid index and n + 1 exactly.
+GRID_N_MAX = 2**53 - 2
 
 
 class DomainError(ValueError):

@@ -19,9 +19,9 @@ pattern, not a bound on cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, EnumerationLimitError, check_int
 
@@ -54,9 +54,15 @@ def _check_args(n, i) -> tuple[int, int]:
     return n, check_int(i, "i", 1, n)
 
 
-@dataclass(frozen=True)
-class ExactTable:
-    """Conditional spacing pmf with exact rational masses over d = 1..n."""
+class ExactTable(NamedTuple):
+    """Conditional spacing pmf with exact rational masses over d = 1..n.
+
+    A named tuple of (n, p, i, masses): immutable, so it is also iterable
+    and compares equal to a plain tuple of the same four values.  A named
+    tuple, not a dataclass, because ``dataclasses`` imports ``inspect``,
+    which an oracle request, running without numpy, would load for this
+    class alone.
+    """
 
     n: int
     p: Fraction

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distribution import ModelParams
 from .errors import DomainError, EmptySampleError, check_int, check_ints, check_p
 
 if TYPE_CHECKING:  # annotations only: grid Monte Carlo does not run sequences
@@ -208,20 +207,29 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     Blocks hold a fixed number of trials, so the partitioning depends on
     trials alone and the seeds on seed alone; they run on one thread per
     CPU, up to one per block, and results never depend on that number.
+    When that number is one, the blocks run in order in the calling thread
+    and no pool is built, so a one-block request starts no thread and
+    imports no ``concurrent.futures``.
 
     The histogram's ``atoms`` are the distinct spacings seen, ascending, and
     its ``counts`` their int64 tallies, which sum to the retained trials.
     """
+    from .distribution import ModelParams  # here: stream and subset runs skip that layer
+
     trials = check_int(trials, "trials", 1)
     params = ModelParams(n, p, i)
     seed = check_int(seed, "seed", 0, _SEED_MAX)
-
-    from concurrent.futures import ThreadPoolExecutor  # loaded per call, not with the layer
-
     n_blocks = (trials + _BLOCK_TRIALS - 1) // _BLOCK_TRIALS
     block = partial(_simulate_block, seed, n=params.n, p=params.p, i=params.i, trials=trials)
-    with ThreadPoolExecutor(min(os.cpu_count() or 1, n_blocks)) as pool:
-        values, counts = map(np.concatenate, zip(*pool.map(block, range(n_blocks))))
+    threads = min(os.cpu_count() or 1, n_blocks)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only to start a pool
+
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(block, range(n_blocks)))
+    else:
+        parts = [block(b) for b in range(n_blocks)]
+    values, counts = map(np.concatenate, zip(*parts))
 
     support, where = np.unique(values, return_inverse=True)
     totals = np.zeros(support.size, np.int64)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import GRID_N_MAX
-from .errors import DomainError, check_float, check_floats, check_int, checked_allocation
+from .errors import (GRID_N_MAX, DomainError, check_float, check_floats, check_int,
+                     checked_allocation)
 
 # about 0.3 Q**2 fractions, kept by a gcd over the Q (Q + 3) / 2 pairs 0 <= a <= b <= Q;
 # at 2**11, 1,275,587 points: farey takes about 0.25 s and 55 MiB on a 2-vCPU host,

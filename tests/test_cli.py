@@ -368,25 +368,28 @@ def test_no_subcommand_imports_scipy():
     assert proc.stdout.splitlines()[-1] == ""
 
 
+# the modules a request should import only when its subcommand uses them
+_WATCHED = ("concurrent.futures", "csv", "dataclasses", "decimal", "fractions", "json",
+            "logging", "numpy")
+
 # Runs one argv in a fresh process and prints its exit code, the layers that
 # ran (a registered layer that has not run is not a plain module) and the
-# watched stdlib modules the package loaded.
-_LAYER_PROBE = """
+# watched modules the package loaded.
+_LAYER_PROBE = f"""
 import contextlib, io, sys, types
+WATCHED = {_WATCHED!r}
 before = set(sys.modules)
 from spacings.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
 ran = sorted(k.partition(".")[2] for k, m in sys.modules.items()
              if k.startswith("spacings.") and k != "spacings.cli" and type(m) is types.ModuleType)
-loaded = sorted(m for m in ("concurrent.futures", "json", "logging", "numpy")
-                if m in set(sys.modules) - before)
+loaded = sorted(m for m in WATCHED if m in set(sys.modules) - before)
 print(code, ",".join(ran), ",".join(loaded))
 """
 
 _EXACT = "distribution,errors,logprob"
-_MONTE_CARLO = "distribution,errors,logprob,sampler"
-_DIAGNOSED = "diagnostics,distribution,errors,logprob,sampler,sequences"
+_DIAGNOSED = "diagnostics,errors,sampler,sequences"
 
 
 def _probe(argv) -> str:
@@ -398,34 +401,47 @@ def _probe(argv) -> str:
 
 
 @pytest.mark.parametrize("argv, layers, stdlib", [
-    (["pmf", "--n", "100", "--p", "0.3", "--i", "2"], _EXACT, "numpy"),
-    (["pmf", "--n", "100", "--p", "0.3", "--i", "2", "--format", "json"], _EXACT, "json,numpy"),
-    (["cdf", "--n", "100", "--p", "0.3", "--i", "1", "--closed-form"], _EXACT, "numpy"),
-    (["limit", "--p", "0.3", "--d-max", "5"], _EXACT, "numpy"),
-    (["stream", "--p", "0.3", "--count", "5"], _MONTE_CARLO, "numpy"),
-    (["sample", "--n", "50", "--p", "0.3", "--i", "1", "--trials", "20"], _MONTE_CARLO,
-     "concurrent.futures,logging,numpy"),  # concurrent.futures imports logging
+    (["pmf", "--n", "100", "--p", "0.3", "--i", "2"], _EXACT, "dataclasses,numpy"),
+    (["pmf", "--n", "100", "--p", "0.3", "--i", "2", "--format", "json"], _EXACT,
+     "dataclasses,json,numpy"),
+    (["cdf", "--n", "100", "--p", "0.3", "--i", "1", "--closed-form"], _EXACT,
+     "dataclasses,numpy"),
+    (["limit", "--p", "0.3", "--d-max", "5"], _EXACT, "dataclasses,numpy"),
+    (["limit", "--p", "1/3", "--d-max", "5"], _EXACT, "dataclasses,decimal,fractions,numpy"),
+    (["stream", "--p", "0.3", "--count", "5"], "errors,sampler", "dataclasses,numpy"),
+    # one block of trials: no thread pool, so no concurrent.futures (and its logging)
+    (["sample", "--n", "50", "--p", "0.3", "--i", "1", "--trials", "20"],
+     "distribution,errors,logprob,sampler", "dataclasses,numpy"),
     (["sweep", "--p", "0.3", "--i", "1", "--n-list", "10,100", "--d-max", "5"],
-     "diagnostics,distribution,errors,logprob", "numpy"),
-    (["seq-sample", "--Q", "8", "--p", "0.5"], _DIAGNOSED, "numpy"),
+     "diagnostics,distribution,errors,logprob", "dataclasses,numpy"),
+    (["seq-sample", "--Q", "8", "--p", "0.5"], _DIAGNOSED, "dataclasses,numpy"),
     (["seq-sample", "--alpha", "0.3", "--count", "50", "--p", "0.5", "--format", "json"],
-     _DIAGNOSED, "json,numpy"),
-    (["oracle", "--n", "6", "--p", "1/3", "--i", "2"], "errors,oracle", ""),
+     _DIAGNOSED, "dataclasses,json,numpy"),
+    (["oracle", "--n", "6", "--p", "1/3", "--i", "2"], "errors,oracle", "csv,decimal,fractions"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_each_subcommand_runs_only_its_layers(argv, layers, stdlib):
     assert _probe(argv) == f"0 {layers} {stdlib}"
 
 
 @pytest.mark.parametrize("argv, probed", [
-    (["oracle", "--n", "16", "--p", "1/3", "--i", "2"], "0 errors,oracle "),
+    (["oracle", "--n", "16", "--p", "1/3", "--i", "2"], "0 errors,oracle csv,decimal,fractions"),
     (["oracle", "--n", "16", "--p", "1/3", "--i", "2", "--format", "json"],
-     "0 errors,oracle json"),
+     "0 errors,oracle decimal,fractions,json"),
     (["--help"], "0 errors "),
     (["pmf", "--n", "5"], "1 errors "),  # usage error: --p and --i missing
     (["oracle", "--n", "6", "--p", "0.5", "--i", "2"], "2 errors "),  # --p must be a/b
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_requests_that_build_no_array_leave_numpy_unloaded(argv, probed):
     assert _probe(argv) == probed
+
+
+def test_importing_the_cli_loads_no_watched_module():
+    code = (f"import sys; before = set(sys.modules); import spacings.cli; "
+            f"print(sorted(m for m in {_WATCHED!r} if m in set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _reference_emit(columns: dict, fmt: str, out) -> None:
@@ -596,6 +612,9 @@ _UNDERFLOW_ARGVS = [["pmf", "--n", "2000", "--p", "0.5", "--i", "1500"],
                     ["sweep", "--p", "0.5", "--i", "1500", "--n-list", "2000,4000",
                      "--d-max", "5"]]
 _FAREY_OVERSIZE = ["seq-sample", "--Q", str(FAREY_ORDER_MAX + 1), "--p", "0.5"]
+# decimal exponents whose power of ten Fraction would build: 12 s, 12 s and over 100 s
+_HUGE_EXPONENTS = [["limit", "--p", p, "--d-max", "3"]
+                   for p in ("1e-10000000", "1e10000000", "1e-50000000")]
 
 
 def _edge_argvs() -> list[list[str]]:
@@ -617,7 +636,8 @@ def _edge_argvs() -> list[list[str]]:
     for p in _EDGE_P:
         argvs.append(["sample", "--n", "1000000", "--p", p, "--i", "1000000",
                       "--trials", "2", "--seed", "1"])
-    argvs += [_ROTATION_OVERFLOW, *_ROTATION_COUNTS, *_UNDERFLOW_ARGVS, _FAREY_OVERSIZE]
+    argvs += [_ROTATION_OVERFLOW, *_ROTATION_COUNTS, *_UNDERFLOW_ARGVS, _FAREY_OVERSIZE,
+              *_HUGE_EXPONENTS]
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 
@@ -639,6 +659,74 @@ def test_oversized_seq_sample_writes_one_error_line():
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_huge_p_exponents_end_quickly_in_one_error_line():
+    # underflow to 0 is refused as p outside (0, 1]; overflow as no number
+    for argv in _HUGE_EXPONENTS:
+        proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def _fraction_parse_p(text: str) -> float:
+    """The reference ``--p`` parser: every text through ``Fraction``, rounded once."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise sp.DomainError(f"--p {text!r} is not a number or a/b fraction") from exc
+
+
+def _parsed(parse, text: str) -> str:
+    """repr of what ``parse`` returns, so -0.0 differs from 0.0, or the DomainError message."""
+    try:
+        return repr(parse(text))
+    except sp.DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+_DIGITS = "0123456789"
+# Arabic-Indic, Devanagari and fullwidth digits
+_UNICODE_DIGITS = "\u0660\u0663\u0669\u0966\u096f\uff10\uff15\uff19"
+_SPACES = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
+_SPECIALS = ["nan", "NaN", "-nan", "+nan", "inf", "-inf", "+Inf", "INF", "infinity",
+             "-Infinity", "iNfInItY", "nan(1)", "infin", "1/3", "2/0", "a/b", "-0", "+0.0"]
+
+
+def _number(digits, underscores=False):
+    """Decimal or exponent text: sign, integer part, fraction part, exponent."""
+    part = st.text(digits, min_size=1, max_size=25)
+    if underscores:  # between digits (valid), or at either end or doubled (invalid)
+        part = st.lists(part, min_size=1, max_size=4).flatmap(
+            lambda pieces: st.sampled_from(["_", "__", ""]).map(lambda sep: sep.join(pieces)))
+        part = st.one_of(part, part.map(lambda t: "_" + t), part.map(lambda t: t + "_"))
+    sign = st.sampled_from(["", "-", "+"])
+    exponent = st.one_of(st.just(""), st.tuples(st.sampled_from("eE"), sign,
+                                                st.integers(0, 999).map(str))
+                         .map("".join))
+    fraction = st.one_of(st.just(""), st.just("."), part.map(lambda t: "." + t))
+    return st.tuples(sign, st.one_of(part, st.just("")), fraction, exponent).map("".join)
+
+
+_P_TEXTS = st.one_of(
+    _number(_DIGITS),
+    _number(_DIGITS, underscores=True),
+    _number(_DIGITS + _UNICODE_DIGITS),
+    st.tuples(st.text(_SPACES, max_size=3),
+              st.one_of(_number(_DIGITS), st.sampled_from(_SPECIALS)),
+              st.text(_SPACES, max_size=3)).map("".join),
+    st.sampled_from(_SPECIALS),
+    st.floats().map(repr),
+    st.text(_DIGITS[:3] + "._eE+-/ " + _UNICODE_DIGITS[:2] + "nfi", max_size=7),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(text=_P_TEXTS)
+def test_parse_p_matches_the_fraction_route(text):
+    assert _parsed(cli._parse_p, text) == _parsed(_fraction_parse_p, text)
 
 
 def test_closed_pipe_exits_1_without_a_traceback():

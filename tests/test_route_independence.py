@@ -13,7 +13,7 @@ import pytest
 import spacings
 
 _PACKAGE = Path(spacings.__file__).parent
-_ALLOWED = {"distribution": {"ModelParams", "GRID_N_MAX"}, "logprob": set()}
+_ALLOWED = {"distribution": {"ModelParams"}, "logprob": set()}
 
 
 def _imports(tree):

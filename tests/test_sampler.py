@@ -1,9 +1,12 @@
 import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,7 +184,8 @@ class TestCollectEmpirical:
     def _with_cpus(monkeypatch, cpus, *args):
         """collect_empirical(*args) on a machine that reports ``cpus`` CPUs.
 
-        Returns the result and the thread count the blocks ran on.
+        Returns the result and the thread count the blocks ran on: the pool's
+        size, or one when no pool was built.
         """
         threads = []
 
@@ -195,7 +199,7 @@ class TestCollectEmpirical:
             # collect_empirical imports the executor when it is called
             m.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
             emp = sp.collect_empirical(*args)
-        return emp, threads[0]
+        return emp, threads[0] if threads else 1
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         args = (400, 0.2, 2, 2 * sampler._BLOCK_TRIALS + 7, 77)  # three blocks
@@ -216,6 +220,24 @@ class TestCollectEmpirical:
             assert threads == expected
             assert base == threaded
         assert base.total + base.discarded == trials
+
+    def test_one_block_starts_no_thread(self):
+        # a fresh process: this one may have loaded concurrent.futures already
+        code = ("import sys, threading\n"
+                "started = []\n"
+                "start = threading.Thread.start\n"
+                "threading.Thread.start = lambda t: (started.append(t), start(t))[1]\n"
+                "import spacings as sp\n"
+                f"emp = sp.collect_empirical(400, 0.2, 2, {sampler._BLOCK_TRIALS}, 77)\n"
+                "print(emp.total + emp.discarded, len(started), "
+                "'concurrent.futures' in sys.modules)")
+        src = str(Path(sp.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(sampler._BLOCK_TRIALS), "0", "False"]
 
     @pytest.mark.parametrize("n, p, i", [(10**9, 0.5, 3), (10**12, 1e-11, 1)])
     def test_memory_does_not_grow_with_n(self, n, p, i):
