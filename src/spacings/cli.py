@@ -10,12 +10,12 @@ Each subcommand is declared once, as an entry of ``_COMMANDS`` (name,
 handler, help text, options); options shared by several subcommands are
 the specs ``_N``, ``_P``, ``_I``, ``_SEED`` and ``_D_MAX``.  Importing this
 module runs no layer but ``errors`` and imports none of numpy,
-``fractions``, ``csv`` or ``json``: the handlers read the layers' names
-when they run, and each of those modules is imported only where it is
-used.  numpy is imported where arrays are built, so ``oracle``, ``--help``
-and usage errors run without it; ``fractions`` only for a ``--p`` written
-as a/b (and by the oracle); ``csv`` only for a table of text cells, the
-oracle's; ``json`` only for ``--format json``.
+``fractions`` or ``json``: the handlers read the layers' names when they
+run, and each of those modules is imported only where it is used.  numpy
+is imported where arrays are built, so ``oracle``, ``--help`` and usage
+errors run without it; ``fractions`` only for a ``--p`` written as a/b
+(and by the oracle); ``json`` only for ``--format json``.  Every table,
+text cells included, is written by ``_emit`` alone, without ``csv``.
 """
 
 from __future__ import annotations
@@ -83,87 +83,77 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 _CHUNK = 4096  # rows formatted and written at a time
-_PYTHON = (range, list, tuple)  # columns of Python values; any other column is an array
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spellings
 
 
 def _emit(columns: dict, fmt: str) -> None:
     """Write equal-length columns as one table, streamed in row chunks.
 
-    CSV prints floats with 17 significant digits and other values with
-    ``str``, and nothing at all for an empty table; JSON is the text
-    ``json.dump`` gives for the list of row objects.
-
-    A column is a numpy array or a ``range``, list or tuple of Python
-    values, and the column types choose the path.  When every column is an
-    integer or float array, each chunk of rows is one ``%``-template filled
-    in a single operation and written with one ``write``: ``'%.17g' % x`` is
-    ``format(x, '.17g')`` and ``'%r' % x`` is ``json.dumps(x)`` for every
-    finite float, and the CSV header is the keys joined by commas.  Other
-    tables (Python values, strings, bools, objects), and JSON chunks holding
-    a NaN or an infinity, take ``csv.writer`` and ``json.dumps`` instead; a
-    table of Python values needs no numpy, and a table of numbers no ``csv``.
+    The bytes are those of ``csv.writer`` (floats formatted ``'.17g'``, an
+    empty table printing nothing) or of ``json.dump`` of the list of row
+    objects.  A column is a numpy array, or a ``range`` or list of Python
+    values.  Each chunk of rows is one ``%s`` row template, repeated and
+    filled in a single ``%`` with the cells ``_texts`` prints, and written
+    with one ``write``.  The CSV header is the keys joined by commas: they
+    are the package's own column names, which need no quoting.
     """
     keys = list(columns)
     cols = list(columns.values())
     size = len(cols[0])
-    kinds = ["O" if isinstance(c, _PYTHON) else c.dtype.kind for c in cols]
-    numeric = all(kind in "iuf" for kind in kinds)
-    out = sys.stdout
     if fmt == "json":
         import json  # only here: a CSV request does not load it
 
-        fields = (json.dumps(k).replace("%", "%%") + (": %r" if kind == "f" else ": %d")
-                  for k, kind in zip(keys, kinds))
-        row = "{" + ", ".join(fields) + "}"
-        out.write("[")
-        for start in range(0, size, _CHUNK):
-            chunk = [c[start : start + _CHUNK] for c in cols]
-            if numeric and _finite(chunk, kinds):
-                text = ", ".join([row] * len(chunk[0])) % _interleave(chunk)
-            else:
-                rows = zip(*map(_values, chunk))
-                text = json.dumps([dict(zip(keys, r)) for r in rows])[1:-1]
-            out.write((", " if start else "") + text)
-        out.write("]\n")
+        row = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "}"
+        sep, head, tail = ", ", "[", "]\n"
+    elif size:
+        row = ",".join(["%s"] * len(keys))
+        sep, head, tail = "\n", ",".join(keys) + "\n", "\n"
+    else:
         return
-    if not size:
-        return
-    if numeric:  # the package's own column names: no header cell needs quoting
-        out.write(",".join(keys) + "\n")
-        line = ",".join("%.17g" if kind == "f" else "%d" for kind in kinds) + "\n"
-        for start in range(0, size, _CHUNK):
-            chunk = [c[start : start + _CHUNK] for c in cols]
-            out.write(line * len(chunk[0]) % _interleave(chunk))
-        return
-    import csv  # only here: a table of numbers does not load it
-
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(keys)
+    out = sys.stdout
+    out.write(head)
     for start in range(0, size, _CHUNK):
-        chunk = [c[start : start + _CHUNK] for c in cols]
-        cells = [[format(v, ".17g") if isinstance(v, float) else v for v in _values(c)]
-                 for c in chunk]
-        writer.writerows(zip(*cells))
+        chunk = [_texts(c[start : start + _CHUNK], fmt) for c in cols]
+        cells = [None] * (len(keys) * len(chunk[0]))
+        for j, texts in enumerate(chunk):
+            cells[j :: len(keys)] = texts
+        out.write((sep if start else "") + sep.join([row] * len(chunk[0])) % tuple(cells))
+    out.write(tail)
 
 
-def _values(column):
-    """A column's cells as Python values."""
-    return column if isinstance(column, _PYTHON) else column.tolist()
+def _texts(column, fmt: str) -> list:
+    """One chunk of a column as the cells ``%s`` prints in format ``fmt``.
 
+    Integer arrays give Python ints.  A float array is formatted once per
+    distinct bit pattern (``'%.17g'`` for CSV, ``repr`` with json's
+    spellings of NaN and the infinities for JSON) and the texts spread back
+    to the rows, so -0.0 and each NaN keep the text of their own bits;
+    ``np.unique`` of the same-width integer view, with ``return_inverse``,
+    does not import ``numpy.ma`` as a plain ``np.unique`` does.  Other cells
+    (text, bools) are ``json.dumps`` for JSON, and for CSV ``str`` quoted
+    when it holds a comma, a quote, a line feed or a carriage return (which
+    Python 3.11's ``csv.writer`` leaves bare), with its quotes doubled.
+    """
+    kind = column.dtype.kind if hasattr(column, "dtype") else "O"
+    if kind in "iu":
+        return column.tolist()
+    if kind == "f":
+        import numpy as np  # the column is an array, so numpy is loaded already
 
-def _finite(chunk: list, kinds: list) -> bool:
-    """Whether every float array of a chunk of array columns is finite."""
-    import numpy as np  # the columns are arrays, so numpy is loaded already
+        bits, where = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+        values = bits.view(column.dtype).tolist()
+        if fmt == "json":
+            texts = [_JSON_FLOATS.get(t, t) for t in map(repr, values)]
+        else:
+            texts = ["%.17g" % v for v in values]
+        return [texts[k] for k in where.tolist()]
+    cells = column if kind == "O" else column.tolist()
+    if fmt == "json":
+        import json
 
-    return all(np.isfinite(c).all() for c, kind in zip(chunk, kinds) if kind == "f")
-
-
-def _interleave(chunk: list) -> tuple:
-    """The cells of equal-length array columns in row-major order, as Python values."""
-    flat = [None] * (len(chunk) * len(chunk[0]))
-    for j, c in enumerate(chunk):
-        flat[j :: len(chunk)] = c.tolist()
-    return tuple(flat)
+        return [json.dumps(v) for v in cells]
+    return ['"%s"' % t.replace('"', '""') if any(c in t for c in ',"\r\n') else t
+            for t in map(str, cells)]
 
 
 def _steps(d_max, n=None):
@@ -311,12 +301,20 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv) -> _Parser:
+    """The parser, with options added only to the subcommands named in ``argv``.
+
+    Every subcommand name is registered, so the choices, the top-level
+    ``--help`` and the invalid-choice message are whole; a subcommand whose
+    name is not in ``argv`` cannot be chosen, so its options are not built.
+    """
     # the docstring's last paragraph is for readers of this module, not of --help
     parser = _Parser(prog="spacings", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
+        if name not in argv:
+            continue
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -327,7 +325,7 @@ def _build_parser() -> _Parser:
 def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         args.func(args)
         return 0
     except _UsageError as exc:

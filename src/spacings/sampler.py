@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -209,7 +210,10 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     CPU, up to one per block, and results never depend on that number.
     When that number is one, the blocks run in order in the calling thread
     and no pool is built, so a one-block request starts no thread and
-    imports no ``concurrent.futures``.
+    imports no ``concurrent.futures``.  Otherwise at most two blocks per
+    thread are submitted ahead of the one being merged.  Block counts are
+    added into the running histogram as they arrive (``_histogram``), so
+    beyond the histogram itself memory does not grow with the trials.
 
     The histogram's ``atoms`` are the distinct spacings seen, ascending, and
     its ``counts`` their int64 tallies, which sum to the retained trials.
@@ -226,16 +230,54 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
         from concurrent.futures import ThreadPoolExecutor  # loaded only to start a pool
 
         with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(block, range(n_blocks)))
+            support, totals = _histogram(_windowed(pool, block, n_blocks, 2 * threads))
     else:
-        parts = [block(b) for b in range(n_blocks)]
-    values, counts = map(np.concatenate, zip(*parts))
-
-    support, where = np.unique(values, return_inverse=True)
-    totals = np.zeros(support.size, np.int64)
-    np.add.at(totals, where, counts)
+        support, totals = _histogram(map(block, range(n_blocks)))
     return EmpiricalDistribution(dict(zip(support.tolist(), totals.tolist())),
                                  trials - int(totals.sum()))
+
+
+def _windowed(pool, block, n_blocks: int, window: int):
+    """block(b) for b = 0..n_blocks-1 from ``pool``, at most ``window`` submitted ahead."""
+    pending = deque()
+    for b in range(n_blocks):
+        pending.append(pool.submit(block, b))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _histogram(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a stream of (values, counts) blocks and their summed counts.
+
+    Blocks are merged into the running histogram as they arrive, once those
+    waiting hold as many entries as it does: a merge then costs at most
+    twice the entries waiting, so the total stays linear in the blocks'
+    entries (up to the sort), and what waits is at most the histogram's size
+    plus one block.
+    """
+    merged, waiting, size = (np.zeros(0, np.int64),) * 2, [], 0
+    for values, counts in parts:
+        waiting.append((values, counts))
+        size += values.size
+        if size >= merged[0].size:
+            merged, waiting, size = _merge([merged, *waiting]), [], 0
+    return _merge([merged, *waiting])
+
+
+def _merge(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of (values, counts) pairs, ascending, and their summed int64 counts.
+
+    Each pair's values are sorted, and a stable sort merges such runs in
+    near-linear time.  Spacings are at least 1, so the 0 put before the
+    first value makes it start a run of equal values.
+    """
+    values, counts = map(np.concatenate, zip(*parts))
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = np.flatnonzero(np.diff(values, prepend=0))
+    return values[starts], np.add.reduceat(counts[order], starts)
 
 
 def inter_arrival_stream(p, seed, count) -> np.ndarray:

@@ -221,6 +221,44 @@ class TestCollectEmpirical:
             assert base == threaded
         assert base.total + base.discarded == trials
 
+    def test_blocks_in_flight_stay_within_two_per_thread(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_BLOCK_TRIALS", 64)
+        args = (300, 0.1, 2, 64 * 40 + 5, 9)  # 41 blocks
+        submitted, read, peak = [0], [0], [0]
+
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, *a, **kw):
+                future = super().submit(*a, **kw)
+                submitted[0] += 1
+                peak[0] = max(peak[0], submitted[0] - read[0])
+                result = future.result
+
+                def counted(timeout=None):
+                    read[0] += 1
+                    return result(timeout)
+
+                future.result = counted
+                return future
+
+        results = []
+        for cpus in (1, 2, 3, 8, None):
+            submitted[0] = read[0] = peak[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(os, "cpu_count", lambda: cpus)
+                m.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+                emp = sp.collect_empirical(*args)
+            threads = min(cpus or 1, 41)
+            assert peak[0] == (2 * threads if threads > 1 else 0), cpus
+            assert submitted[0] == read[0] == (41 if threads > 1 else 0)
+            results.append(emp)
+        assert all(emp == results[0] for emp in results)
+        merged = {}  # the blocks merged one by one, in Python ints
+        for b in range(41):
+            for v, c in zip(*(a.tolist() for a in sampler._simulate_block(9, b, *args[:4]))):
+                merged[v] = merged.get(v, 0) + c
+        assert results[0] == sp.EmpiricalDistribution(merged, args[3] - sum(merged.values()))
+        assert results[0].total > 0
+
     def test_one_block_starts_no_thread(self):
         # a fresh process: this one may have loaded concurrent.futures already
         code = ("import sys, threading\n"
