@@ -27,8 +27,9 @@ class DistanceReport:
     """KS and (where defined) total-variation distance of a comparison.
 
     ``n_effective`` is the number of observations behind the empirical
-    side, 0 for exact-vs-exact comparisons.  ``tv`` is None when one side
-    is a continuous law, where mass-function distance has no meaning.
+    side, 0 for exact-vs-exact comparisons, stored as an int >= 0.  ``tv``
+    is None when one side is a continuous law, where mass-function distance
+    has no meaning.
     """
 
     ks: float
@@ -36,6 +37,7 @@ class DistanceReport:
     n_effective: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_effective", check_int(self.n_effective, "n_effective", 0))
         if not self.ks >= 0.0:
             raise DomainError("KS distance must be >= 0")
         if self.tv is not None and not 0.0 <= self.tv <= 1.0:
@@ -124,11 +126,14 @@ def scaled_mean_exponential_check(spacings) -> DistanceReport:
     """KS distance of mean-scaled spacings from the unit exponential law.
 
     The spacings are divided by their sample mean and the empirical CDF is
-    compared with 1 - exp(-x) at the observed atoms.  Needs at least 100
-    spacings to say anything meaningful.
+    compared with 1 - exp(-x) at the observed atoms.  Needs a
+    one-dimensional array of at least 100 spacings to say anything
+    meaningful.
     """
     x = check_floats(spacings, "spacings")
-    if x.ndim != 1 or x.size < 100:
+    if x.ndim != 1:
+        raise DomainError(f"spacings must be one-dimensional, got shape {x.shape}")
+    if x.size < 100:
         raise EmptySampleError(
             f"need at least 100 spacings for the exponential check, got {x.size}"
         )

@@ -250,16 +250,21 @@ def unconditional_spacing_prob(params: ModelParams, d) -> LogProb:
     return LogProb(float(_log_numerators(params, d, d)[0]))
 
 
+def _checked_tails(n, p, i) -> tuple[float, float]:
+    """``_binom_tails(n, p, i)`` after checking 1 <= n <= GRID_N_MAX, p and 0 <= i <= n."""
+    n = check_int(n, "n", 1, GRID_N_MAX)
+    p = check_p(p)
+    i = check_int(i, "i", 0, n)
+    return _binom_tails(n, p, i)
+
+
 def size_tail(n, p, i) -> LogProb:
     """P(Binomial(n+1, p) > i): the chance of more than i survivors.
 
     The smaller binomial tail is summed from i outward in log domain (see
     ``_binom_tails``), so the cost is O(min(i, sd)) whatever n is.
     """
-    n = check_int(n, "n", 1, GRID_N_MAX)
-    p = check_p(p)
-    i = check_int(i, "i", 0, n)
-    return LogProb(_binom_tails(n, p, i)[1])
+    return LogProb(_checked_tails(n, p, i)[1])
 
 
 def pmf_scaled(params: ModelParams, d) -> float:
@@ -497,7 +502,4 @@ def binomial_cdf_tail_check(n, p, i) -> LogProb:
     to zero as n grows at fixed i and p, which is what makes the conditional
     law approach the geometric limit.
     """
-    n = check_int(n, "n", 1, GRID_N_MAX)
-    p = check_p(p)
-    i = check_int(i, "i", 0, n)
-    return LogProb(min(_binom_tails(n, p, i)[0], 0.0))
+    return LogProb(min(_checked_tails(n, p, i)[0], 0.0))

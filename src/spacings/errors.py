@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the parameter checks
 that raise them.
 
-numpy is imported only by the array checks, ``check_ints`` past its
-plain-int case and ``check_floats``, so scalar checks run without it.
+numpy is imported only by the array checks, ``check_ints`` (for every
+input, a scalar included) and ``check_floats``, so ``check_float``,
+``check_p`` and ``check_int`` run without it.
 ``GRID_N_MAX`` is the bound of every grid size n and of a d-max given
 without n; it lives here, beside the checks that use it, so that the
 point-set generators and the CLI read it without running the exact law.
@@ -67,14 +68,12 @@ def check_ints(values, name: str, lo: int, hi: int | None = None):
     """An int, or an integer array, of values in lo..hi (no upper bound when hi is None).
 
     An array is checked whole, by dtype, min and max, and returned as numpy
-    made it; floats, text and integers beyond 64 bits raise DomainError.
+    made it; floats, text and integers beyond 64 bits raise DomainError.  A
+    scalar, which numpy makes a 0-d array, goes to ``check_int`` and comes
+    back an int.
     """
-    if isinstance(values, int):  # the common scalar, without numpy
-        return check_int(values, name, lo, hi)
     import numpy as np
 
-    if isinstance(values, np.integer):  # a numpy scalar, without an array
-        return check_int(values, name, lo, hi)
     try:
         array = np.asarray(values)
     except ValueError as exc:

@@ -20,7 +20,10 @@ is small or carried relative to its own size: no lgamma values of size
 m log m are subtracted, so the log stays accurate at m = 10**12.  k = 0 and
 k = m are the exact m log q and m log p.  The coefficient ``log_binomial``
 uses the same Stirling-error terms; it is the package's one log C(m, k), for
-every k, so its cost per element does not grow with k.
+every k, so its cost per element does not grow with k.  Both go through one
+masked evaluator: the edge values at k = 0 and k = m, -inf outside 0..m,
+and no mask at all when every entry lies strictly inside.  ``LogProb``
+stores a checked float and does no arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_float
 
 _NEG_INF = float("-inf")
 
@@ -61,12 +64,15 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 class LogProb:
     """A probability stored as its natural logarithm.
 
-    ``log`` is a float <= 0; ``-inf`` encodes exact probability zero.
+    ``log`` is a float <= 0; ``-inf`` encodes exact probability zero.  It is
+    stored as a Python float whatever number it was given, and a value
+    ``float`` refuses raises DomainError.
     """
 
     log: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "log", check_float(self.log, "log-probability"))
         if math.isnan(self.log):
             raise DomainError("log-probability is NaN")
         if self.log > _LOG_SLACK:
@@ -87,14 +93,13 @@ class LogProb:
         return self.log == _NEG_INF
 
 
-def log_pow(log_base: float, k) -> float | np.ndarray:
+def log_pow(log_base: float, k) -> np.ndarray:
     """log(b**k) given log(b), with the 0**0 = 1 convention.
 
     k = 0 yields 0.0 even when log_base is -inf (b = 0), matching the
-    convention that a vacuous power contributes a factor of one.
+    convention that a vacuous power contributes a factor of one.  The result
+    is an array of k's shape, 0-d for a scalar k.
     """
-    if np.isscalar(k):
-        return 0.0 if k == 0 else k * log_base
     k = np.asarray(k, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         return np.where(k == 0, 0.0, k * log_base)
@@ -160,23 +165,31 @@ def _as_result(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
+def _log_binomial_terms(k, m, inner, edge):
+    """``inner(k, m)`` where 0 < k < m, ``edge(k, m)`` where k = 0 or k = m, -inf elsewhere.
+
+    The one masked evaluator of ``log_binomial`` and ``log_binom_pmf``.  When
+    every entry has 0 < k < m no mask is built and the arguments are not
+    broadcast, so a scalar k (the exact law's i-1) or m is evaluated once.
+    """
+    m, k = np.asarray(m, dtype=np.float64), np.asarray(k, dtype=np.float64)
+    is_inner = (k > 0) & (k < m)
+    if is_inner.all():
+        return _as_result(inner(k, m))
+    m, k = np.broadcast_arrays(m, k)
+    out = np.where((k == 0) | (k == m), edge(k, m), _NEG_INF)
+    if is_inner.any():
+        out[is_inner] = inner(k[is_inner], m[is_inner])
+    return _as_result(out)
+
+
 def log_binomial(m, k) -> float | np.ndarray:
     """log of binomial(m, k) for integers m, k; -inf where k < 0 or k > m.
 
     Stirling form: k log1p((m-k)/k) + (m-k) log1p(k/(m-k)) plus the small
     Stirling-error terms, accurate to a few ulp of the result at any m.
-    A scalar k (the exact law's i-1) stays a scalar, so its terms are
-    evaluated once; when every entry has 0 < k < m no mask is applied.
     """
-    m, k = np.asarray(m, dtype=np.float64), np.asarray(k, dtype=np.float64)
-    inner = (k > 0) & (k < m)
-    if inner.all():
-        return _as_result(_log_binomial_inner(k, m))
-    m, k = np.broadcast_arrays(m, k)
-    out = np.where((k == 0) | (k == m), 0.0, _NEG_INF)
-    if inner.any():
-        out[inner] = _log_binomial_inner(k[inner], m[inner])
-    return _as_result(out)
+    return _log_binomial_terms(k, m, _log_binomial_inner, lambda k, m: 0.0)
 
 
 def _log_binomial_inner(k: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -192,18 +205,18 @@ def log_binom_pmf(k, m, p: float) -> float | np.ndarray:
     or k > m.  mp is carried as an exact two-double product, so k - mp is
     exact near the mode and the log keeps its accuracy at m = 10**12.
     """
-    m, k = np.broadcast_arrays(np.asarray(m, dtype=np.float64),
-                               np.asarray(k, dtype=np.float64))
-    if p == 1.0:
+    if p == 1.0:  # all mass sits at k = m; the edge value's log1p(-p) would raise
+        m, k = np.broadcast_arrays(np.asarray(m, dtype=np.float64),
+                                   np.asarray(k, dtype=np.float64))
         return _as_result(np.where(k == m, 0.0, _NEG_INF))
-    edge = np.where(k == 0, m * math.log1p(-p), m * math.log(p))
-    out = np.where((k == 0) | (k == m), edge, _NEG_INF)
-    inner = (k > 0) & (k < m)
-    if inner.any():
-        kk, mm = k[inner], m[inner]
-        hi, lo = _two_product(mm, p)  # mp = hi + lo
-        diff = (kk - hi) - lo  # k - mp, and mp - k = (m-k) - mq
-        out[inner] = (_stirling_core(kk, mm) - _bd0(kk, hi, diff)
-                      - _bd0(mm - kk, (mm - hi) - lo, -diff))
-    return _as_result(out)
 
+    def edge(k, m):
+        return np.where(k == 0, m * math.log1p(-p), m * math.log(p))
+
+    def inner(k, m):
+        hi, lo = _two_product(m, p)  # mp = hi + lo
+        diff = (k - hi) - lo  # k - mp, and mp - k = (m-k) - mq
+        return (_stirling_core(k, m) - _bd0(k, hi, diff)
+                - _bd0(m - k, (m - hi) - lo, -diff))
+
+    return _log_binomial_terms(k, m, inner, edge)

@@ -216,11 +216,12 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     beyond the histogram itself memory does not grow with the trials.
 
     The histogram's ``atoms`` are the distinct spacings seen, ascending, and
-    its ``counts`` their int64 tallies, which sum to the retained trials.
+    its ``counts`` their int64 tallies, which sum to the retained trials; so
+    trials is refused above 2**63 - 1, before any block runs.
     """
     from .distribution import ModelParams  # here: stream and subset runs skip that layer
 
-    trials = check_int(trials, "trials", 1)
+    trials = check_int(trials, "trials", 1, _INT64_MAX)
     params = ModelParams(n, p, i)
     seed = check_int(seed, "seed", 0, _SEED_MAX)
     n_blocks = (trials + _BLOCK_TRIALS - 1) // _BLOCK_TRIALS

@@ -475,6 +475,26 @@ def _reference_emit(columns: dict, fmt: str, out) -> None:
 _EMIT = cli._emit
 
 
+def _assert_same_text(new: str, ref: str) -> None:
+    """new == ref; on failure, the first differing line, not pytest's diff of whole tables.
+
+    A rewritten ``assert new == ref`` diffs the two strings, which takes
+    minutes on tables of megabytes.  A JSON table is one line, so each line
+    shown is cut to 80 characters either side of the first difference.
+    """
+    if new == ref:
+        return
+    new_lines, ref_lines = new.split("\n"), ref.split("\n")
+    row = next((k for k, (a, b) in enumerate(zip(new_lines, ref_lines)) if a != b),
+               min(len(new_lines), len(ref_lines)))
+    a, b = (lines[row] if row < len(lines) else "" for lines in (new_lines, ref_lines))
+    col = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    cut = slice(max(col - 80, 0), col + 80)
+    pytest.fail(f"tables of {len(new)} and {len(ref)} characters differ first at line {row + 1}, "
+                f"column {col + 1}, in lines of {len(a)} and {len(b)} characters:\n"
+                f"  new: {a[cut]!r}\n  ref: {b[cut]!r}", pytrace=False)
+
+
 def _emitted(columns: dict, fmt: str, monkeypatch) -> tuple[str, str]:
     """(what cli._emit writes, what the reference emitter writes)."""
     new, ref = io.StringIO(), io.StringIO()
@@ -516,7 +536,7 @@ def test_every_subcommand_emits_the_reference_bytes(monkeypatch, capsys, argv, f
     out = capsys.readouterr()[0]
     assert len(tables) == 1
     new, ref = tables[0]
-    assert new == ref
+    _assert_same_text(new, ref)
     assert out.startswith(new)
 
 
@@ -540,7 +560,7 @@ def test_synthetic_extremes_emit_the_reference_bytes(monkeypatch, fmt):
              "label": [f"r{k}, \"q\"" if k % 3 else f"line\nbreak {k}" for k in range(rows)]}
     for columns in (numeric, mixed, {"x": np.array(_EXTREMES[5:])}):
         new, ref = _emitted(columns, fmt, monkeypatch)
-        assert new == ref
+        _assert_same_text(new, ref)
     # quoted, so a reader that ends rows at a bare \r reads the cell whole;
     # Python 3.11's csv.writer leaves it unquoted
     assert cli._texts(["a\rb", "c"], "csv") == ['"a\rb"', "c"]
@@ -553,7 +573,7 @@ def test_large_tables_of_repeated_and_distinct_floats_emit_the_reference_bytes(m
     assert np.unique(distinct).size == rows
     columns = {"d": np.arange(1, rows + 1), "same": np.full(rows, 0.1), "distinct": distinct}
     new, ref = _emitted(columns, fmt, monkeypatch)
-    assert new == ref
+    _assert_same_text(new, ref)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -564,11 +584,11 @@ def test_chunk_seams_emit_the_reference_bytes(monkeypatch, fmt, rows):
     with np.errstate(over="ignore"):
         columns = {"d": np.arange(1, rows + 1), "x": x, "y": x.astype(np.float32)}
     new, ref = _emitted(columns, fmt, monkeypatch)
-    assert new == ref
+    _assert_same_text(new, ref)
     if rows > 4096:  # a NaN in one chunk of otherwise finite floats
         x[4096] = float("nan")
         new, ref = _emitted(columns, fmt, monkeypatch)
-        assert new == ref
+        _assert_same_text(new, ref)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -588,7 +608,7 @@ def test_random_numeric_tables_emit_the_reference_bytes(rows, floats, ints, seed
     finally:
         sys.stdout = saved
     _reference_emit(columns, fmt, ref)
-    assert new.getvalue() == ref.getvalue()
+    _assert_same_text(new.getvalue(), ref.getvalue())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -632,6 +652,8 @@ _UNDERFLOW_ARGVS = [["pmf", "--n", "2000", "--p", "0.5", "--i", "1500"],
                     ["sweep", "--p", "0.5", "--i", "1500", "--n-list", "2000,4000",
                      "--d-max", "5"]]
 _FAREY_OVERSIZE = ["seq-sample", "--Q", str(FAREY_ORDER_MAX + 1), "--p", "0.5"]
+# trials past the int64 histogram: refused before about 1.4e14 blocks start
+_TRIALS_OVERSIZE = ["sample", "--n", "10", "--p", "0.5", "--i", "1", "--trials", str(2**63)]
 # decimal exponents whose power of ten Fraction would build: 12 s, 12 s and over 100 s
 _HUGE_EXPONENTS = [["limit", "--p", p, "--d-max", "3"]
                    for p in ("1e-10000000", "1e10000000", "1e-50000000")]
@@ -657,7 +679,7 @@ def _edge_argvs() -> list[list[str]]:
         argvs.append(["sample", "--n", "1000000", "--p", p, "--i", "1000000",
                       "--trials", "2", "--seed", "1"])
     argvs += [_ROTATION_OVERFLOW, *_ROTATION_COUNTS, *_UNDERFLOW_ARGVS, _FAREY_OVERSIZE,
-              *_HUGE_EXPONENTS]
+              _TRIALS_OVERSIZE, *_HUGE_EXPONENTS]
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 
@@ -667,6 +689,12 @@ def _edge_argvs() -> list[list[str]]:
 def test_domain_edges_end_in_an_exit_code(capsys, argv):
     assert run(argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+def test_trials_past_int64_write_one_error_line(capsys):
+    assert run(_TRIALS_OVERSIZE) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: trials=")
 
 
 def test_oversized_seq_sample_writes_one_error_line():

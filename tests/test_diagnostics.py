@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -200,6 +201,12 @@ class TestScaledMeanExponentialCheck:
         with pytest.raises(DomainError):
             sp.scaled_mean_exponential_check("abc")
 
+    @pytest.mark.parametrize("shape", [(10, 20), (), (1, 200)])
+    def test_rejects_other_than_one_dimension_by_shape(self, shape):
+        # a (10, 20) array holds 200 spacings, but not as one sample
+        with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
+            sp.scaled_mean_exponential_check(np.ones(shape))
+
 
 def test_report_validation():
     with pytest.raises(DomainError):
@@ -210,3 +217,7 @@ def test_report_validation():
         sp.DistanceReport(ks=math.nan, tv=None, n_effective=0)
     with pytest.raises(DomainError):
         sp.DistanceReport(ks=0.1, tv=math.nan, n_effective=0)
+    for bad in (-5, 2.5, None):
+        with pytest.raises(DomainError, match="n_effective"):
+            sp.DistanceReport(ks=0.1, tv=None, n_effective=bad)
+    assert type(sp.DistanceReport(ks=0.1, tv=None, n_effective=np.int64(7)).n_effective) is int

@@ -76,6 +76,13 @@ class TestLogProb:
         value = LogProb(log)
         assert value.log == 0.0 and value.prob == 1.0
 
+    def test_stores_a_python_float_and_refuses_text(self):
+        for log in (np.float64(-1.5), -2, np.array(-0.25)):
+            value = LogProb(log)
+            assert type(value.log) is float and value.log == log
+        with pytest.raises(DomainError, match="log-probability"):
+            LogProb("x")
+
     def test_zero(self):
         zero = LogProb.zero()
         assert zero.is_zero and zero.log == -math.inf and zero.prob == 0.0

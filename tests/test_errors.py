@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spacings as sp
-from spacings.errors import DomainError, check_int, check_p
+from spacings.errors import DomainError, check_int, check_ints, check_p
 
 INF, NAN = math.inf, math.nan
 
@@ -27,6 +27,26 @@ class TestCheckInt:
         with pytest.raises(DomainError, match="<= 5"):
             check_int(6, "i", 1, 5)
         assert check_int(10**30, "J", 0) == 10**30
+
+
+class TestCheckInts:
+    def test_scalars_come_back_as_ints_through_check_int(self):
+        for value in (3, True, np.int64(7), np.uint8(4), 3.0, np.float64(2.0), 10**400):
+            got = check_ints(value, "n", 0)
+            assert type(got) is int and got == check_int(value, "n", 0)
+        for value in (2.5, "3", None, NAN, 10**400):
+            with pytest.raises(DomainError) as ints_error:
+                check_ints(value, "n", 0, 10)
+            with pytest.raises(DomainError) as int_error:
+                check_int(value, "n", 0, 10)
+            assert str(ints_error.value) == str(int_error.value)
+
+    def test_arrays_are_checked_whole(self):
+        got = check_ints([1, 2, 3], "d", 1, 3)
+        assert isinstance(got, np.ndarray) and got.tolist() == [1, 2, 3]
+        for bad in ([0, 1], [1, 4], [1.0, 2.0], ["a"]):
+            with pytest.raises(DomainError, match="d needs integer values >= 1 and <= 3"):
+                check_ints(bad, "d", 1, 3)
 
 
 class TestCheckP:

@@ -128,3 +128,15 @@ def test_log_binomial_scalar_k_equals_the_masked_path(k):
     assert masked[-1] == 0.0
     assert np.array_equal(log_binomial(m, k), masked[:-1])
     assert np.array_equal(log_binomial(m, np.full(m.size, k)), masked[:-1])
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-5, 0.3, 1 - 1e-12])
+def test_log_binom_pmf_all_inner_equals_the_masked_path(p):
+    # a k == 0 entry forces the mask; without it every entry is inner and none is built
+    m = np.concatenate((np.arange(2, 4098), 10.0 ** np.arange(4, 13)))
+    k = np.maximum(m // 3, 1)
+    masked = log_binom_pmf(np.append(k, 0), np.append(m, 5), p)
+    assert masked[-1] == 5 * math.log1p(-p)
+    assert np.array_equal(log_binom_pmf(k, m, p), masked[:-1])
+    for j in (0, 1, 4095, m.size - 1):
+        assert log_binom_pmf(k[j], m[j], p) == masked[j]

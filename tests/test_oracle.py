@@ -133,3 +133,27 @@ def test_gap_counts_equal_the_formula_in_counts(n):
     # equal p-free counts make the enumerated and closed-form laws equal at every p in (0, 1]
     for i in range(1, n + 1):
         assert list(_gap_counts(n, i)) == _formula_gap_counts(n, i)
+
+
+def _upper_tail(m, p, i):
+    """P(Binomial(m, p) > i) in exact rationals, from math.comb."""
+    return sum((math.comb(m, k) * p**k * (1 - p) ** (m - k) for k in range(i + 1, m + 1)),
+               Fraction(0))
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(7, 8), Fraction(1, 10)])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_survival_identity(n, p):
+    # deleting the d dead points after survivor i maps the patterns whose i-th
+    # gap exceeds d one to one onto the patterns of n - d + 1 points, so
+    # 1 - F_n(d) = q**d P(Bin(n-d+1, p) > i) / P(Bin(n+1, p) > i)
+    q = 1 - p
+    for i in range(1, n + 1):
+        masses = sp.enumerate_conditional_pmf(n, p, i).masses
+        total = _upper_tail(n + 1, p, i)
+        cdf = Fraction(0)
+        for d in range(1, n + 1):
+            cdf += masses[d]
+            assert 1 - cdf == q**d * _upper_tail(n - d + 1, p, i) / total, (i, d)
+            if i == 1:  # the identity's right side is cdf_scaled_closed_i1's formula
+                assert cdf == (1 - q**d - d * p * q**n) / (1 - q ** (n + 1) - (n + 1) * p * q**n)

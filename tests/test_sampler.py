@@ -385,6 +385,13 @@ class TestCollectEmpirical:
         with pytest.raises(DomainError):
             sp.collect_empirical(2**53, 0.5, 1, 100, 1)
 
+    def test_trials_past_int64_are_refused_at_once(self):
+        # 2**63 trials would start about 1.4e14 blocks before the total is refused
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="trials=9223372036854775808 must be <="):
+            sp.collect_empirical(10, 0.5, 1, 2**63, 1)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestEmpiricalDistribution:
     def test_as_arrays_fills_the_gaps_with_zero_counts(self):
