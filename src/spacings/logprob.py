@@ -1,4 +1,4 @@
-"""Log-domain probabilities and binomial logs.
+"""Log-domain probabilities and binomial log terms.
 
 Probabilities at large grid sizes underflow double precision (for example
 0.9**50001 is about 1e-2288), so sums in this package are carried out on
@@ -18,11 +18,11 @@ n <= 15 and its asymptotic series above, and bd0(x, mu) = x log(x/mu) + mu - x
 is summed as a series in v = (x - mu)/(x + mu) near the mode.  Every term
 is small or carried relative to its own size: no lgamma values of size
 m log m are subtracted, so the log stays accurate at m = 10**12.  k = 0 and
-k = m are the exact m log q and m log p.  The coefficient ``log_binomial``
-uses the same Stirling-error terms; it is the package's one log C(m, k), for
-every k, so its cost per element does not grow with k.  Both go through one
-masked evaluator: the edge values at k = 0 and k = m, -inf outside 0..m,
-and no mask at all when every entry lies strictly inside.  ``LogProb``
+k = m are the exact m log q and m log p, and -inf lies outside 0..m; no
+mask is built when every entry lies strictly inside.  ``log_binom_pmf`` is
+the package's one binomial log term: the exact law's tails, anchors and
+block additions all take it, and its cost per element does not grow with
+k.  ``LogProb``
 stores a checked float and does no arithmetic.
 """
 
@@ -155,47 +155,17 @@ def _two_product(a, b):
     return hi, lo
 
 
-def _stirling_core(k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """stirlerr(m) - stirlerr(k) - stirlerr(m-k) + 1/2 log(m / (2 pi k (m-k))), 0 < k < m."""
-    return (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k)
-            + 0.5 * np.log(m / (k * (m - k))) - _HALF_LOG_2PI)
-
-
 def _as_result(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_binomial_terms(k, m, inner, edge):
-    """``inner(k, m)`` where 0 < k < m, ``edge(k, m)`` where k = 0 or k = m, -inf elsewhere.
-
-    The one masked evaluator of ``log_binomial`` and ``log_binom_pmf``.  When
-    every entry has 0 < k < m no mask is built and the arguments are not
-    broadcast, so a scalar k (the exact law's i-1) or m is evaluated once.
-    """
-    m, k = np.asarray(m, dtype=np.float64), np.asarray(k, dtype=np.float64)
-    is_inner = (k > 0) & (k < m)
-    if is_inner.all():
-        return _as_result(inner(k, m))
-    m, k = np.broadcast_arrays(m, k)
-    out = np.where((k == 0) | (k == m), edge(k, m), _NEG_INF)
-    if is_inner.any():
-        out[is_inner] = inner(k[is_inner], m[is_inner])
-    return _as_result(out)
-
-
-def log_binomial(m, k) -> float | np.ndarray:
-    """log of binomial(m, k) for integers m, k; -inf where k < 0 or k > m.
-
-    Stirling form: k log1p((m-k)/k) + (m-k) log1p(k/(m-k)) plus the small
-    Stirling-error terms, accurate to a few ulp of the result at any m.
-    """
-    return _log_binomial_terms(k, m, _log_binomial_inner, lambda k, m: 0.0)
-
-
-def _log_binomial_inner(k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """log C(m, k) for 0 < k < m, either argument broadcast against the other."""
-    rest = m - k
-    return _stirling_core(k, m) + k * np.log1p(rest / k) + rest * np.log1p(k / rest)
+def _log_pmf_inner(k: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
+    """log P(Bin(m, p) = k) for 0 < k < m, either argument broadcast against the other."""
+    hi, lo = _two_product(m, p)  # mp = hi + lo
+    diff = (k - hi) - lo  # k - mp, and mp - k = (m-k) - mq
+    return (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k)
+            + 0.5 * np.log(m / (k * (m - k))) - _HALF_LOG_2PI
+            - _bd0(k, hi, diff) - _bd0(m - k, (m - hi) - lo, -diff))
 
 
 def log_binom_pmf(k, m, p: float) -> float | np.ndarray:
@@ -203,20 +173,18 @@ def log_binom_pmf(k, m, p: float) -> float | np.ndarray:
 
     Loader's saddle-point form (see the module docstring); -inf where k < 0
     or k > m.  mp is carried as an exact two-double product, so k - mp is
-    exact near the mode and the log keeps its accuracy at m = 10**12.
+    exact near the mode and the log keeps its accuracy at m = 10**12.  When
+    every entry has 0 < k < m no mask is built and the arguments are not
+    broadcast, so a scalar k (the exact law's i-1) or m is evaluated once.
     """
+    m, k = np.asarray(m, dtype=np.float64), np.asarray(k, dtype=np.float64)
     if p == 1.0:  # all mass sits at k = m; the edge value's log1p(-p) would raise
-        m, k = np.broadcast_arrays(np.asarray(m, dtype=np.float64),
-                                   np.asarray(k, dtype=np.float64))
         return _as_result(np.where(k == m, 0.0, _NEG_INF))
-
-    def edge(k, m):
-        return np.where(k == 0, m * math.log1p(-p), m * math.log(p))
-
-    def inner(k, m):
-        hi, lo = _two_product(m, p)  # mp = hi + lo
-        diff = (k - hi) - lo  # k - mp, and mp - k = (m-k) - mq
-        return (_stirling_core(k, m) - _bd0(k, hi, diff)
-                - _bd0(m - k, (m - hi) - lo, -diff))
-
-    return _log_binomial_terms(k, m, inner, edge)
+    is_inner = (k > 0) & (k < m)
+    if is_inner.size and is_inner.all():  # an empty block is not inner: k may be 0
+        return _as_result(_log_pmf_inner(k, m, p))
+    m, k = np.broadcast_arrays(m, k)
+    out = np.where(k == 0, m * math.log1p(-p), np.where(k == m, m * math.log(p), _NEG_INF))
+    if is_inner.any():
+        out[is_inner] = _log_pmf_inner(k[is_inner], m[is_inner], p)
+    return _as_result(out)

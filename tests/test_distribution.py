@@ -622,6 +622,62 @@ class TestLogTAtLargeN:
         assert abs(sp.size_tail(10**12, 1e-11, 10).log - -0.874764385927778) <= 1e-12
 
 
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923078164")
+# (n, p, i) near the mode at large n: i - 1 is about (n + 1) p, so the three
+# logs of p**i C(M, i-1) q**(M-i+1) are each about n nats and cancel to about -15
+_NEAR_MODE = [(10**12, 0.5, 5 * 10**11), (10**12, 0.1, 10**11), (10**9, 0.3, 3 * 10**8),
+              (10**6, 0.1, 10**5)]
+
+
+def _ln_factorial(n: int) -> Decimal:
+    """ln n! by Stirling's series, to far below 1e-40 for n >= 10**4."""
+    x = Decimal(n)
+    series = (1 / (12 * x) - 1 / (360 * x**3) + 1 / (1260 * x**5) - 1 / (1680 * x**7)
+              + 1 / (1188 * x**9))
+    return (x + Decimal("0.5")) * x.ln() - x + (2 * _PI).ln() / 2 + series
+
+
+def _block_anchor(params, block: int) -> tuple[int, float]:
+    """(M, log U(M)) at the largest d of a block: the tail the kernel anchors it with."""
+    n, p, i = params.n, params.p, params.i
+    last = min((block + 1) * distribution._CHUNK, n - i + 1)
+    return n - last + 1, distribution._binom_tails(n - last, p, i - 1)[1]
+
+
+def _seam_error(params) -> tuple[float, float]:
+    """(block 1's anchor carried by the additions to block 0's, minus block 0's, log U there).
+
+    U(M+1) = U(M) + p P(Bin(M, p) = i-1): the additions between the two
+    anchors take U from one to the other, so both routes give the same U.
+    """
+    m_near, log_u = _block_anchor(params, 0)
+    m_far, far = _block_anchor(params, 1)
+    terms = np.append(distribution._log_survivor_weight(np.arange(m_far, m_near), params.p,
+                                                        params.i), far)
+    top = terms.max()
+    return top + math.log(math.fsum(np.exp(terms - top))) - log_u, log_u
+
+
+class TestBlockAdditionsAtLargeN:
+    """The terms p P(Bin(M, p) = i-1) that carry U across a block, near the mode."""
+
+    @pytest.mark.parametrize("n,p,i", _NEAR_MODE)
+    def test_single_additions_against_a_70_digit_reference(self, n, p, i):
+        with localcontext() as ctx:
+            ctx.prec = 70
+            lp, lq = Decimal(p).ln(), (1 - Decimal(p)).ln()
+            for M in (n - 4095, n - 1000, n, round((i - 1) / p)):
+                want = float(i * lp + _ln_factorial(M) - _ln_factorial(i - 1)
+                             - _ln_factorial(M - i + 1) + (M - i + 1) * lq)
+                got = distribution._log_survivor_weight(M, p, i)
+                assert abs(got - want) <= 1e-14, (M, got, want)
+
+    @pytest.mark.parametrize("n,p,i", _NEAR_MODE)
+    def test_additions_carry_one_anchor_to_the_next(self, n, p, i):
+        error, _ = _seam_error(sp.ModelParams(n, p, i))
+        assert abs(error) <= 1e-13, error
+
+
 class TestTailEdges:
     """size_tail and binomial_cdf_tail_check at n = 1, i = n and p = 1, in bounded time."""
 
@@ -649,12 +705,12 @@ class TestTailEdges:
         assert sp.binomial_cdf_tail_check(1, 0.3, 0).prob == pytest.approx(0.49, rel=1e-14)
 
     def test_p_one(self, monkeypatch):
-        # every point survives: exact tails and masses with no binomial term
-        # evaluated, so i = n = 10**12 costs no scan over i
-        def no_terms(*args):
-            raise AssertionError("a binomial term was evaluated at p = 1")
+        # every point survives: exact tails and masses with no tail scan, so
+        # i = n = 10**12 costs no scan over i
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a binomial tail was scanned at p = 1")
 
-        monkeypatch.setattr(distribution, "log_binom_pmf", no_terms)
+        monkeypatch.setattr(distribution, "_logsumexp_unimodal", no_scan)
         _table_masses.cache_clear()
         _block_log_numerators.cache_clear()
         for n, i in [(1, 0), (1, 1), (5, 3), (10**12, 10**12)]:
@@ -781,9 +837,11 @@ def test_debug_log_reports_log_t_and_leaves_stdout_alone(capsys, caplog):
 
 
 # ROADMAP item 14: invariants that need no reference, drawn over the whole valid
-# domain.  Three are left out because they fail today: mass <= 1 (by up to 1.2e-10
-# at i = n, from the log-T offset of item 8), F_n >= limit_cdf (cumsum drift and the
-# same offset) and a per-call time budget (near the mode at n = 10**12).
+# domain, seam consistency among them (a read of two blocks: the additions carry
+# block 1's anchor to block 0's).  Three are left out because they fail today:
+# mass <= 1 (by up to 1.2e-10 at i = n, from the log-T offset of item 8),
+# F_n >= limit_cdf (cumsum drift and the same offset) and a per-call time budget
+# (near the mode at n = 10**12).
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(n=st.integers(1, 10**12), p=st.floats(5e-324, 1.0), data=st.data())
 def test_invariants_over_the_valid_domain(n, p, data):
@@ -797,6 +855,9 @@ def test_invariants_over_the_valid_domain(n, p, data):
     assert np.all(np.diff(cdf) >= 0.0)
     assert sp.pmf_scaled(params, d) == mass[d - 1]
     assert sp.cdf_scaled(params, d) == cdf[d - 1]
+    if k > distribution._CHUNK and n - i + 1 > distribution._CHUNK:
+        error, log_u = _seam_error(params)
+        assert abs(error) <= 1e-13 * (1 + abs(log_u))
     # the two tails of Binomial(n+1, p) split at i add to 1 within a few ulp
     low, up = sp.binomial_cdf_tail_check(n, p, i).log, sp.size_tail(n, p, i).log
     assert abs(np.logaddexp(low, up)) <= 4 * np.finfo(float).eps

@@ -75,9 +75,13 @@ _PARAMS = sp.ModelParams(10, 0.5, 2)
     lambda: sp.pmf_delta(_PARAMS, "x"),
     lambda: sp.pmf_delta(_PARAMS, 10**400),
     lambda: sp.rotation("x", 5),
+    lambda: sp.limit_pmf(0.1, 10**400),
+    lambda: sp.limit_cdf(0.1, 10**400),
+    lambda: sp.binomial_sum_partial(0.1, 10**400, 0),
 ], ids=["ModelParams-n-inf", "ModelParams-n-nan", "limit_cdf-d", "grid", "farey",
         "inter_arrival_stream-seed", "size_tail-i", "pmf_delta", "convergence_sweep-d_max",
-        "rotation-count", "pmf_delta-text", "pmf_delta-overflow", "rotation-alpha-text"])
+        "rotation-count", "pmf_delta-text", "pmf_delta-overflow", "rotation-alpha-text",
+        "limit_pmf-d-overflow", "limit_cdf-d-overflow", "binomial_sum_partial-i-overflow"])
 def test_non_finite_integers_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
