@@ -25,19 +25,18 @@ __version__ = "0.1.0"
 
 # each public name, under the layer that defines it
 _PUBLIC = {
-    "diagnostics": ("DistanceReport", "convergence_sweep", "ks_between", "ks_to_geometric",
-                    "scaled_mean_exponential_check", "tv_between"),
+    "diagnostics": ("DistanceReport", "convergence_sweep", "ks_to_geometric",
+                    "scaled_mean_exponential_check"),
     "distribution": ("DistributionTable", "ModelParams", "binomial_cdf_tail_check",
                      "binomial_sum_partial", "binomial_sum_stop_index", "cdf_scaled",
-                     "cdf_scaled_closed_i1", "limit_cdf", "limit_pmf", "pmf_delta", "pmf_scaled",
-                     "size_tail", "spacing_distribution", "survivor_index_pmf",
-                     "unconditional_spacing_prob"),
+                     "cdf_scaled_closed_i1", "limit_cdf", "limit_pmf", "pmf_scaled",
+                     "size_tail", "spacing_distribution"),
     "errors": ("DomainError", "EmptySampleError", "EnumerationLimitError"),
     "logprob": ("LogProb",),
     "oracle": ("ExactTable", "Rational", "enumerate_conditional_pmf", "exact_closed_form_pmf"),
     "sampler": ("EmpiricalDistribution", "SampleRun", "collect_empirical",
-                "inter_arrival_stream", "ith_scaled_spacing", "sample_subset"),
-    "sequences": ("PointSet", "farey", "farey_pairs", "grid", "rotation"),
+                "inter_arrival_stream", "sample_subset"),
+    "sequences": ("PointSet", "farey", "grid", "rotation"),
 }
 _LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_LAYER_OF)

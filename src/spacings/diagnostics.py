@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import distribution  # registered, not run: its names are read when a function runs
-from .errors import DomainError, EmptySampleError, check_floats, check_int, check_p
+from .errors import (DomainError, EmptySampleError, check_float, check_floats, check_int,
+                     check_p)
 
 if TYPE_CHECKING:  # annotations only: a sweep does not run the sampler
     from .sampler import EmpiricalDistribution
@@ -27,8 +28,9 @@ class DistanceReport:
     """KS and (where defined) total-variation distance of a comparison.
 
     ``n_effective`` is the number of observations behind the empirical
-    side, 0 for exact-vs-exact comparisons, stored as an int >= 0.  ``tv``
-    is None when one side is a continuous law, where mass-function distance
+    side, 0 for exact-vs-exact comparisons, stored as an int >= 0.  ``ks``
+    is stored as a finite float >= 0 and ``tv`` as a float in [0, 1], or
+    None when one side is a continuous law, where mass-function distance
     has no meaning.
     """
 
@@ -38,10 +40,13 @@ class DistanceReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_effective", check_int(self.n_effective, "n_effective", 0))
-        if not self.ks >= 0.0:
-            raise DomainError("KS distance must be >= 0")
-        if self.tv is not None and not 0.0 <= self.tv <= 1.0:
-            raise DomainError("TV distance must be in [0, 1]")
+        object.__setattr__(self, "ks", check_float(self.ks, "KS distance"))
+        if not 0.0 <= self.ks < math.inf:
+            raise DomainError("KS distance must be finite and >= 0")
+        if self.tv is not None:
+            object.__setattr__(self, "tv", check_float(self.tv, "TV distance"))
+            if not 0.0 <= self.tv <= 1.0:
+                raise DomainError("TV distance must be in [0, 1]")
 
 
 def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
@@ -70,33 +75,6 @@ def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
     return DistanceReport(ks=ks, tv=min(tv, 1.0), n_effective=emp.total)
 
 
-def _union_masses(a: EmpiricalDistribution, b: EmpiricalDistribution):
-    """Masses of both histograms over the union of their observed atoms."""
-    support = np.union1d(a.atoms, b.atoms)
-    out = []
-    for emp in (a, b):
-        full = np.zeros(support.size)
-        full[np.searchsorted(support, emp.atoms)] = emp.masses
-        out.append(full)
-    return out
-
-
-def tv_between(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
-    """Total-variation distance between two empirical histograms."""
-    ma, mb = _union_masses(a, b)
-    return 0.5 * float(np.abs(ma - mb).sum())
-
-
-def ks_between(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
-    """Atom-wise KS distance between two empirical histograms.
-
-    Both CDFs are flat between the atoms of either, so the sup is taken
-    over the union of observed atoms.
-    """
-    ma, mb = _union_masses(a, b)
-    return float(np.abs(np.cumsum(ma) - np.cumsum(mb)).max())
-
-
 def convergence_sweep(p, i, n_list, d_max) -> list[tuple[int, float]]:
     """Exact sup_{d <= d_max} |cdf - geometric limit| for each grid size.
 
@@ -107,7 +85,11 @@ def convergence_sweep(p, i, n_list, d_max) -> list[tuple[int, float]]:
     p = check_p(p)
     i = check_int(i, "i", 1)
     d_max = check_int(d_max, "d_max", 1)
-    ns = [check_int(n, "n", i) for n in n_list]
+    try:
+        ns = [check_int(n, "n", i) for n in n_list]
+    except TypeError as exc:  # check_int raises none: n_list is no collection
+        raise DomainError(f"n_list must be a list of grid sizes, not {type(n_list).__name__}"
+                          ) from exc
     if not ns:
         raise DomainError("n_list must not be empty")
     if d_max > min(ns):

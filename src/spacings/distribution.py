@@ -63,7 +63,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GRID_N_MAX, DomainError, check_float, check_int, check_ints, check_p
+from .errors import GRID_N_MAX, DomainError, check_int, check_ints, check_p
 from .logprob import LogProb, log_binom_pmf, log_pow
 
 _NEG_INF = float("-inf")
@@ -248,18 +248,6 @@ def _masses(params: ModelParams, lo: int, hi: int) -> np.ndarray:
     return np.exp(_log_numerators(params, lo, hi) - _table_masses(params))
 
 
-def unconditional_spacing_prob(params: ModelParams, d) -> LogProb:
-    """P(the i-th spacing equals d grid steps), before conditioning.
-
-    Sums, over every admissible position j of the i-th survivor, the chance
-    of i-1 survivors among the first j points, survival at j, a run of d-1
-    eliminations, and survival at j+d.  Empty sums (no room for i earlier
-    survivors, d > n-i+1) give exact probability zero.
-    """
-    d = check_int(d, "d", 1, params.n)
-    return LogProb(float(_log_numerators(params, d, d)[0]))
-
-
 def _checked_tails(n, p, i) -> tuple[float, float]:
     """``_binom_tails(n, p, i)`` after checking 1 <= n <= GRID_N_MAX, p and 0 <= i <= n."""
     n = check_int(n, "n", 1, GRID_N_MAX)
@@ -285,20 +273,6 @@ def pmf_scaled(params: ModelParams, d) -> float:
     """
     d = check_int(d, "d", 1, params.n)
     return float(_masses(params, d, d)[0])
-
-
-def pmf_delta(params: ModelParams, delta) -> float:
-    """Same mass addressed by the unscaled gap length delta = d/n.
-
-    Rejects delta whose product with n is not an integer: the two supports
-    are in bijection through d = n * delta.  n * (d/n) is within 2 ulp of d,
-    so the tolerance grows with the ulp of n * delta.
-    """
-    d_real = check_float(delta, "delta") * params.n
-    tol = max(1e-9, 4 * math.ulp(d_real))
-    if not math.isfinite(d_real) or abs(d_real - round(d_real)) > tol:
-        raise DomainError(f"delta={delta} is not a multiple of 1/n")
-    return pmf_scaled(params, round(d_real))
 
 
 @dataclass(frozen=True)
@@ -368,6 +342,17 @@ def cdf_scaled(params: ModelParams, d) -> float:
     return float(spacing_distribution(params).head(d)[1][-1])
 
 
+@lru_cache(maxsize=64)
+def _closed_i1_terms(n: int, p: float) -> tuple[float, float, float]:
+    """log q, q**n and the denominator of the i = 1 closed form, for a checked (n, p)."""
+    if (n + 1) * p < _CLOSED_FORM_MIN_NP:
+        raise DomainError(f"the i=1 closed form needs (n+1)p >= {_CLOSED_FORM_MIN_NP}, "
+                          f"got {(n + 1) * p!r} at n={n}, p={p!r}")
+    log_q = _log_q(p)  # -inf at p = 1, where both brackets are 1
+    qn = math.exp(n * log_q)
+    return log_q, qn, -math.expm1((n + 1) * log_q) - (n + 1) * p * qn
+
+
 def cdf_scaled_closed_i1(n, p, d):
     """Closed form of :func:`cdf_scaled` for i = 1.
 
@@ -389,28 +374,29 @@ def cdf_scaled_closed_i1(n, p, d):
     :func:`cdf_scaled` has no such limit.
 
     ``d`` is an int or an integer array of values in 1..n; the result is a
-    float, or an array of d's shape.  The arguments are checked and log q,
-    q**n and the denominator computed once per call; each d then takes the
-    same scalar ``math`` expressions, so an array entry equals the scalar
-    call bit for bit.  Arrays are filled _CHUNK entries at a time.
+    float, or an array of d's shape.  The arguments are checked on every
+    call; log q, q**n and the denominator are computed once per checked
+    (n, p) (``_closed_i1_terms``).  Each d then takes the same scalar
+    ``math`` expressions, so an array entry equals the scalar call bit for
+    bit.  Arrays are filled _CHUNK entries at a time.
     """
     n = check_int(n, "n", 1, GRID_N_MAX)
     p = check_p(p)
     # a plain int goes straight to check_int: scalar calls come by the million
     d = check_int(d, "d", 1, n) if type(d) is int else check_ints(d, "d", 1, n)
-    if (n + 1) * p < _CLOSED_FORM_MIN_NP:
-        raise DomainError(f"the i=1 closed form needs (n+1)p >= {_CLOSED_FORM_MIN_NP}, "
-                          f"got {(n + 1) * p!r} at n={n}, p={p!r}")
-    log_q = _log_q(p)  # -inf at p = 1, where both brackets are 1
-    qn = math.exp(n * log_q)
-    den = -math.expm1((n + 1) * log_q) - (n + 1) * p * qn
-    if isinstance(d, int):  # spelled out twice: a nested function doubles a scalar call
+    log_q, qn, den = _closed_i1_terms(n, p)
+    # the expression is spelled out twice, and the array's loop is a plain one: a
+    # nested function or a comprehension would make these locals closure cells,
+    # which cost every scalar call about 0.1 us
+    if type(d) is int:
         return (-math.expm1(d * log_q) - d * p * qn) / den
     flat = d.ravel()
     out = np.empty(flat.size)
     for start in range(0, flat.size, _CHUNK):
-        out[start : start + _CHUNK] = [(-math.expm1(k * log_q) - k * p * qn) / den
-                                       for k in flat[start : start + _CHUNK].tolist()]
+        values = []
+        for k in flat[start : start + _CHUNK].tolist():
+            values.append((-math.expm1(k * log_q) - k * p * qn) / den)
+        out[start : start + _CHUNK] = values
     return out.reshape(d.shape)
 
 
@@ -435,22 +421,6 @@ def limit_cdf(p, d):
     return float(out) if np.ndim(d) == 0 else out
 
 
-def survivor_index_pmf(n, p, i, j) -> LogProb:
-    """P(the i-th survivor sits at grid index j).
-
-    Requires i-1 survivors among the first j points and survival at j:
-    C(j, i-1) p**i (1-p)**(j-i+1) for j >= i-1, zero below.  Summed over
-    j = 0..n together with P(fewer than i survivors) this exhausts all
-    outcomes.
-    """
-    params = ModelParams(n, p, i)
-    n, p, i = params.n, params.p, params.i
-    j = check_int(j, "j", 0, n)
-    if j < i - 1:
-        return LogProb.zero()
-    return LogProb(_log_survivor_weight(j, p, i))
-
-
 def binomial_sum_stop_index(p, i) -> int:
     """Truncation point past which the survivor-weight series has converged.
 
@@ -463,10 +433,12 @@ def binomial_sum_stop_index(p, i) -> int:
     The search probes binomials of up to (3i + 20 sqrt(i) + 90) / p trials
     (3i/p for large i, 63/p at i = 1), and :func:`log_binom_pmf` takes at
     most 2**996 trials, so p below (3i + 20 sqrt(i) + 90) 2**-996, about
-    1.7e-298 at i = 1, raises DomainError naming that bound.
+    1.7e-298 at i = 1, raises DomainError naming that bound.  i is at most
+    GRID_N_MAX; below p = 1 each tail sums O(sqrt(i / p)) terms, so the
+    search takes about 0.4 s at i = 10**9 and 8-13 s at i = 10**12.
     """
     p = check_p(p)
-    i = check_int(i, "i", 1)
+    i = check_int(i, "i", 1, GRID_N_MAX)
     p_min = (3 * i + 20 * math.isqrt(i) + 90) / 2**996
     if p < p_min:
         raise DomainError(f"p={p!r} is below {p_min!r}, the smallest p supported at i={i}")
@@ -483,11 +455,14 @@ def binomial_sum_partial(p, i, J) -> tuple[float, float]:
     Terms use exact integer binomials accumulated with math.fsum, so the
     partial carries only per-term rounding (~1e-15 relative) and truncation.
     A partial beyond the largest double is inf, as closed is.  i is at most
-    GRID_N_MAX.
+    GRID_N_MAX, and J at most 2**20: the sum is a Python loop of J - i + 2
+    terms, 0.24 s at that bound and i = 1 on a 2-vCPU host.  Each term's
+    exact binomial has about (i-1) log2 J bits, so larger i costs more per
+    term (about 8 s at J = 2**20, i = 100, p = 0.9, extrapolated).
     """
     p = check_p(p)
     i = check_int(i, "i", 1, GRID_N_MAX)
-    J = check_int(J, "J", 0)
+    J = check_int(J, "J", 0, 2**20)
     q, log_q = 1.0 - p, _log_q(p)
 
     def term(j: int) -> float:

@@ -80,10 +80,6 @@ class LogProb:
         if self.log > 0.0:
             object.__setattr__(self, "log", 0.0)
 
-    @classmethod
-    def zero(cls) -> "LogProb":
-        return cls(_NEG_INF)
-
     @property
     def prob(self) -> float:
         return math.exp(self.log)

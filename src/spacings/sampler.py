@@ -112,19 +112,6 @@ def sample_subset(points: PointSet, p, seed) -> SampleRun:
     return SampleRun(points, p, seed, survivors)
 
 
-def ith_scaled_spacing(run: SampleRun, i, n) -> int | None:
-    """Gap between the i-th and (i+1)-th survivors of a grid(n) run, in steps.
-
-    Returns None when the run has at most i survivors (the conditioning
-    event failed).
-    """
-    i, n = check_int(i, "i", 1), check_int(n, "n", 1)
-    if len(run.survivors) <= i:
-        return None
-    values = run.survivor_values
-    return int(round(n * float(values[i] - values[i - 1])))
-
-
 class EmpiricalDistribution:
     """Observed counts of integer scaled spacings from repeated trials.
 
@@ -132,11 +119,14 @@ class EmpiricalDistribution:
     arrays: ``atoms``, the observed d in ascending order, and ``counts``,
     aligned with ``atoms``; zero counts are kept.  Atoms must be integers
     >= 1 and counts integers >= 0, each at most 2**63 - 1, with a total
-    below 2**63; any other mapping raises DomainError.  ``discarded`` counts
-    the trials that produced no spacing.
+    below 2**63; any other mapping, or a value that is no mapping, raises
+    DomainError.  ``discarded`` counts the trials that produced no spacing.
     """
 
     def __init__(self, counts: Mapping[int, int], discarded=0):
+        if not isinstance(counts, Mapping):
+            raise DomainError(f"counts must be a mapping of spacing to count, "
+                              f"not {type(counts).__name__}")
         atoms = check_ints(list(counts), "atoms", 1, _INT64_MAX)
         if atoms.ndim != 1:
             raise DomainError("atoms must be integers, not sequences")

@@ -18,8 +18,7 @@ from .errors import (GRID_N_MAX, DomainError, check_float, check_floats, check_i
                      checked_allocation)
 
 # about 0.3 Q**2 fractions, kept by a gcd over the Q (Q + 3) / 2 pairs 0 <= a <= b <= Q;
-# at 2**11, 1,275,587 points: farey takes about 0.25 s and 55 MiB on a 2-vCPU host,
-# farey_pairs' tuples about 0.5 s and 185 MiB
+# at 2**11, 1,275,587 points: farey takes about 0.25 s and 55 MiB on a 2-vCPU host
 FAREY_ORDER_MAX = 2**11
 
 
@@ -66,15 +65,6 @@ def _farey_arrays(q: int) -> tuple[np.ndarray, np.ndarray]:
     num, den = num[keep], den[keep]
     order = np.argsort(num / den)
     return num[order], den[order]
-
-
-def farey_pairs(order) -> list[tuple[int, int]]:
-    """All reduced fractions in [0, 1] with denominator <= order, ascending.
-
-    The order is at most FAREY_ORDER_MAX.
-    """
-    num, den = _farey_arrays(check_int(order, "Q", 1, FAREY_ORDER_MAX))
-    return list(zip(num.tolist(), den.tolist()))
 
 
 def farey(order) -> PointSet:

@@ -44,23 +44,6 @@ class TestKsToGeometric:
             sp.ks_to_geometric(_emp({1: 5}), 0.0)
 
 
-class TestBetweenDistances:
-    def test_symmetry(self):
-        a = _emp({1: 30, 2: 50, 4: 20})
-        b = _emp({1: 25, 2: 60, 3: 15})
-        assert sp.tv_between(a, b) == sp.tv_between(b, a)
-        assert sp.ks_between(a, b) == sp.ks_between(b, a)
-
-    def test_identical_distributions(self):
-        a = _emp({1: 10, 2: 20})
-        b = _emp({1: 100, 2: 200})  # same masses, different totals
-        assert sp.tv_between(a, b) == pytest.approx(0.0, abs=1e-15)
-        assert sp.ks_between(a, b) == pytest.approx(0.0, abs=1e-15)
-
-    def test_disjoint_supports(self):
-        assert sp.tv_between(_emp({1: 5}), _emp({2: 5})) == pytest.approx(1.0)
-
-
 def _dense_masses(emp, dmax):
     d = np.arange(1, dmax + 1)
     m = np.zeros(dmax)
@@ -77,12 +60,6 @@ def _dense_ks_tv_to_geometric(emp, p):
     return ks, min(tv, 1.0)
 
 
-def _dense_between(a, b):
-    dmax = max(a.max_observed, b.max_observed)
-    (_, ma), (_, mb) = _dense_masses(a, dmax), _dense_masses(b, dmax)
-    return np.abs(np.cumsum(ma) - np.cumsum(mb)).max(), 0.5 * np.abs(ma - mb).sum()
-
-
 _GEOMETRIC_CASES = [
     ({1: 1000}, 0.5),
     ({1: 42}, 1.0),
@@ -91,13 +68,6 @@ _GEOMETRIC_CASES = [
     ({2: 3, 5: 1, 40: 2}, 0.1),
     ({7: 5}, 0.3),
 ]
-_BETWEEN_CASES = [
-    ({1: 30, 2: 50, 4: 20}, {1: 25, 2: 60, 3: 15}),
-    ({1: 10, 2: 20}, {1: 100, 2: 200}),
-    ({1: 5}, {2: 5}),
-    ({3: 1, 90: 4}, {50: 2, 60: 2}),
-]
-
 
 class TestSparseAgreesWithDense:
     @pytest.mark.parametrize("counts, p", _GEOMETRIC_CASES)
@@ -107,25 +77,17 @@ class TestSparseAgreesWithDense:
         assert abs(report.ks - ks) <= 1e-15
         assert abs(report.tv - tv) <= 1e-15
 
-    @pytest.mark.parametrize("a, b", _BETWEEN_CASES)
-    def test_between(self, a, b):
-        ks, tv = _dense_between(_emp(a), _emp(b))
-        assert abs(sp.ks_between(_emp(a), _emp(b)) - ks) <= 1e-15
-        assert abs(sp.tv_between(_emp(a), _emp(b)) - tv) <= 1e-15
-
     def test_memory_follows_distinct_values(self):
         emp = sp.collect_empirical(10**9, 1e-7, 1, 10, 1)
         assert emp.max_observed > 10**6  # a dense pass would cost megabytes
         tracemalloc.start()
         try:
             report = sp.ks_to_geometric(emp, 1e-7)
-            tv = sp.tv_between(emp, emp)
-            ks = sp.ks_between(emp, emp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert 0.0 < report.ks < 1.0 and tv == ks == 0.0
+        assert 0.0 < report.ks < 1.0
 
 
 class TestConvergenceSweep:

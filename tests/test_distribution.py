@@ -84,42 +84,9 @@ class TestLogProb:
             LogProb("x")
 
     def test_zero(self):
-        zero = LogProb.zero()
+        zero = LogProb(-math.inf)
         assert zero.is_zero and zero.log == -math.inf and zero.prob == 0.0
         assert not LogProb(-1e300).is_zero
-
-
-class TestUnconditionalSpacingProb:
-    def test_small_grid_value(self):
-        # exact by enumerating the 8 patterns of 3 points: {0,.5}, {0,.5,1},
-        # {.5,1} are the ones whose first spacing is one step -> 3/8
-        got = sp.unconditional_spacing_prob(sp.ModelParams(2, 0.5, 1), 1)
-        assert got.prob == pytest.approx(3 / 8, rel=1e-14)
-
-    def test_empty_sum_is_exact_zero(self):
-        assert sp.unconditional_spacing_prob(sp.ModelParams(2, 0.5, 2), 2).is_zero
-
-    def test_p_one_keeps_every_point(self):
-        assert sp.unconditional_spacing_prob(sp.ModelParams(2, 1.0, 1), 1).prob == 1.0
-        assert sp.unconditional_spacing_prob(sp.ModelParams(2, 1.0, 1), 2).is_zero
-
-    @pytest.mark.parametrize("d", [0, 3, -1])
-    def test_d_out_of_range(self, d):
-        with pytest.raises(DomainError):
-            sp.unconditional_spacing_prob(sp.ModelParams(2, 0.5, 1), d)
-
-    @pytest.mark.parametrize("n,p,i", [(30, 0.3, 1), (40, 0.15, 3), (25, 0.8, 5)])
-    def test_decomposition_over_survivor_positions(self, n, p, i):
-        # conditioning on the position of the i-th survivor re-derives the
-        # unconditional law: sum_j P(i-th at j) * p * q**(d-1) over j <= n-d
-        q = 1.0 - p
-        for d in range(1, n - i + 2):
-            direct = sp.unconditional_spacing_prob(sp.ModelParams(n, p, i), d).prob
-            assembled = sum(
-                sp.survivor_index_pmf(n, p, i, j).prob * p * q ** (d - 1)
-                for j in range(0, n - d + 1)
-            )
-            assert direct == pytest.approx(assembled, rel=1e-12, abs=1e-300)
 
 
 class TestSizeTail:
@@ -153,12 +120,30 @@ class TestPmfScaled:
             (2, 0.5, 1, 2, 0.25),
             (2, 0.5, 2, 1, 1.0),
             (2, 1.0, 1, 1, 1.0),
+            (2, 1.0, 1, 2, 0.0),
         ],
     )
     def test_values(self, n, p, i, d, expected):
         assert sp.pmf_scaled(sp.ModelParams(n, p, i), d) == pytest.approx(
             expected, rel=1e-13
         )
+
+    @pytest.mark.parametrize("d", [0, 3, -1])
+    def test_d_out_of_range(self, d):
+        with pytest.raises(DomainError):
+            sp.pmf_scaled(sp.ModelParams(2, 0.5, 1), d)
+
+    @pytest.mark.parametrize("n,p,i", [(30, 0.3, 1), (40, 0.15, 3), (25, 0.8, 5)])
+    def test_decomposition_over_survivor_positions(self, n, p, i):
+        # conditioning on the position j of the i-th survivor re-derives the
+        # law: T f(d) = sum_j P(i-th at j) * p * q**(d-1) over j <= n-d
+        params, q = sp.ModelParams(n, p, i), 1.0 - p
+        t = sp.size_tail(n, p, i).prob
+        for d in range(1, n - i + 2):
+            weights = np.exp(distribution._log_survivor_weight(np.arange(i - 1, n - d + 1), p, i))
+            assembled = math.fsum(weights) * p * q ** (d - 1)
+            assert sp.pmf_scaled(params, d) * t == pytest.approx(assembled, rel=1e-12,
+                                                                 abs=1e-300)
 
     @pytest.mark.parametrize("n,i", [(12, 1), (12, 4), (30, 7)])
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
@@ -184,23 +169,6 @@ class TestPmfScaled:
             assert sp.pmf_scaled(params, d) == pytest.approx(
                 float(table.mass[d - 1]), rel=1e-12, abs=1e-300
             )
-
-    def test_delta_addressing(self):
-        params = sp.ModelParams(2, 0.5, 1)
-        assert sp.pmf_delta(params, 0.5) == pytest.approx(0.75, rel=1e-13)
-        assert sp.pmf_delta(params, 1.0) == pytest.approx(0.25, rel=1e-13)
-        with pytest.raises(DomainError):
-            sp.pmf_delta(params, 0.3)
-
-    def test_delta_addressing_at_n_1e12(self):
-        # n * (d / n) is off from d by more than 1e-9 for some d at this n
-        n = 10**12
-        params = sp.ModelParams(n, 1e-11, 3)
-        rng = np.random.default_rng(7)
-        for d in rng.integers(1, n + 1, 200).tolist():
-            assert sp.pmf_delta(params, d / n) == sp.pmf_scaled(params, d)
-        with pytest.raises(DomainError):
-            sp.pmf_delta(params, 1234567.5 / n)
 
 
 class TestDistributionTable:
@@ -273,6 +241,23 @@ class TestCdf:
         scalar = [sp.cdf_scaled_closed_i1(n, p, k) for k in picks]
         assert column[np.array(picks) - 1].tolist() == scalar
         assert scalar == [_closed_form_scalar(n, p, k) for k in picks]
+
+    def test_closed_form_cache_keeps_every_bit(self):
+        # log q, q**n and the denominator are cached per (n, p): scalar and array
+        # calls, on a hit or a miss, keep the bits of the expression written out
+        rng = np.random.default_rng(27)
+        pairs = list(zip(rng.integers(1, 10**7, 100).tolist(), rng.uniform(1e-3, 1, 100).tolist()))
+        for _ in range(2):  # 100 pairs through a cache of 64: the second pass misses again
+            for n, p in pairs:
+                d = rng.integers(1, n + 1, 20)
+                want = [_closed_form_scalar(n, p, k) for k in d.tolist()]
+                assert [sp.cdf_scaled_closed_i1(n, p, k) for k in d.tolist()] == want
+                assert sp.cdf_scaled_closed_i1(n, p, d).tolist() == want
+
+    @pytest.mark.parametrize("n,p", [([10], 0.2), (10, [0.2]), ({}, 0.2), (10, {0.2: 1})])
+    def test_closed_form_checks_before_its_cache(self, n, p):
+        with pytest.raises(DomainError):
+            sp.cdf_scaled_closed_i1(n, p, 1)
 
     def test_closed_form_array_shape_and_scalar_type(self):
         grid = np.array([[1, 2], [3, 4]])
@@ -354,31 +339,22 @@ class TestLimitLaw:
             fn(0.5, np.array([1.0, 2.5]))
 
 
-class TestSurvivorIndexPmf:
+class TestSurvivorWeight:
     @pytest.mark.parametrize(
-        "n,p,i,j,expected",
-        [(5, 0.5, 1, 0, 0.5), (5, 0.5, 1, 2, 0.125), (5, 0.5, 2, 0, 0.0)],
+        "p,i,j,expected",
+        [(0.5, 1, 0, 0.5), (0.5, 1, 2, 0.125), (0.5, 2, 0, 0.0)],
     )
-    def test_values(self, n, p, i, j, expected):
-        assert sp.survivor_index_pmf(n, p, i, j).prob == pytest.approx(
-            expected, rel=1e-13, abs=0.0
-        )
+    def test_values(self, p, i, j, expected):
+        got = math.exp(distribution._log_survivor_weight(j, p, i))
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n,p,i", [(20, 0.3, 1), (40, 0.6, 4), (15, 0.05, 2)])
     def test_total_mass_accounts_for_failures(self, n, p, i):
-        # positions of the i-th survivor plus the no-i-th-survivor event
-        # exhaust the sample space
-        positions = math.fsum(
-            sp.survivor_index_pmf(n, p, i, j).prob for j in range(0, n + 1)
-        )
+        # positions j = 0..n of the i-th survivor plus the no-i-th-survivor
+        # event exhaust the sample space
+        weights = np.exp(distribution._log_survivor_weight(np.arange(0, n + 1), p, i))
         too_few = sp.binomial_cdf_tail_check(n, p, i - 1).prob
-        assert positions + too_few == pytest.approx(1.0, abs=1e-10)
-
-    def test_invalid_j(self):
-        with pytest.raises(DomainError):
-            sp.survivor_index_pmf(5, 0.5, 1, 6)
-        with pytest.raises(DomainError):
-            sp.survivor_index_pmf(5, 0.5, 1, -1)
+        assert math.fsum(weights) + too_few == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBinomialSum:

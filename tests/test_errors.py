@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,19 +73,113 @@ _PARAMS = sp.ModelParams(10, 0.5, 2)
     lambda: sp.farey(NAN),
     lambda: sp.inter_arrival_stream(0.5, INF, 3),
     lambda: sp.size_tail(10, 0.5, NAN),
-    lambda: sp.pmf_delta(_PARAMS, INF),
     lambda: sp.convergence_sweep(0.1, 1, [10], INF),
     lambda: sp.rotation(0.3, INF),
-    lambda: sp.pmf_delta(_PARAMS, "x"),
-    lambda: sp.pmf_delta(_PARAMS, 10**400),
     lambda: sp.rotation("x", 5),
     lambda: sp.limit_pmf(0.1, 10**400),
     lambda: sp.limit_cdf(0.1, 10**400),
     lambda: sp.binomial_sum_partial(0.1, 10**400, 0),
+    lambda: sp.binomial_sum_partial(0.1, 3, 10**12),
 ], ids=["ModelParams-n-inf", "ModelParams-n-nan", "limit_cdf-d", "grid", "farey",
-        "inter_arrival_stream-seed", "size_tail-i", "pmf_delta", "convergence_sweep-d_max",
-        "rotation-count", "pmf_delta-text", "pmf_delta-overflow", "rotation-alpha-text",
-        "limit_pmf-d-overflow", "limit_cdf-d-overflow", "binomial_sum_partial-i-overflow"])
+        "inter_arrival_stream-seed", "size_tail-i", "convergence_sweep-d_max",
+        "rotation-count", "rotation-alpha-text", "limit_pmf-d-overflow",
+        "limit_cdf-d-overflow", "binomial_sum_partial-i-overflow",
+        "binomial_sum_partial-J-bound"])
 def test_non_finite_integers_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+_EMP = sp.EmpiricalDistribution({1: 3, 2: 1})
+_POINTS = sp.grid(10)
+# one valid call of each public callable; the sweep replaces one argument at a time
+_VALID_CALLS = {
+    "ModelParams": (10, 0.5, 2),
+    "binomial_cdf_tail_check": (10, 0.5, 2),
+    "binomial_sum_partial": (0.5, 2, 10),
+    "binomial_sum_stop_index": (0.5, 2),
+    "cdf_scaled": (_PARAMS, 3),
+    "cdf_scaled_closed_i1": (10, 0.5, 3),
+    "limit_cdf": (0.5, 3),
+    "limit_pmf": (0.5, 3),
+    "pmf_scaled": (_PARAMS, 3),
+    "size_tail": (10, 0.5, 2),
+    "spacing_distribution": (_PARAMS,),
+    "LogProb": (-1.0,),
+    "enumerate_conditional_pmf": (6, Fraction(1, 3), 2),
+    "exact_closed_form_pmf": (6, Fraction(1, 3), 2),
+    "EmpiricalDistribution": ({1: 3, 2: 1}, 0),
+    "collect_empirical": (50, 0.5, 2, 100, 1),
+    "inter_arrival_stream": (0.5, 1, 10),
+    "sample_subset": (_POINTS, 0.5, 1),
+    "PointSet": (np.array([0.0, 0.5]), "two points"),
+    "farey": (5,),
+    "grid": (10,),
+    "rotation": (0.3, 10),
+    "DistanceReport": (0.1, 0.2, 10),
+    "convergence_sweep": (0.5, 2, [10, 20], 5),
+    "ks_to_geometric": (_EMP, 0.5),
+    "scaled_mean_exponential_check": (np.linspace(1.0, 2.0, 100),),
+}
+# public names the sweep leaves out, each with its reason
+_NOT_SWEPT = {
+    "DomainError": "an exception type: any message is valid",
+    "EmptySampleError": "an exception type: any message is valid",
+    "EnumerationLimitError": "an exception type: any message is valid",
+    "Rational": "fractions.Fraction itself; the oracle reads p through its own check",
+    "DistributionTable": "a result record: spacing_distribution builds it from a ModelParams",
+    "ExactTable": "a result record of the two oracle functions, which are swept",
+    "SampleRun": "a result record of sample_subset, which is swept",
+}
+_EDGE_VALUES = {"nan": NAN, "inf": INF, "-inf": -INF, "text": "x", "10**400": 10**400,
+                "2**63": 2**63, "[]": [], "-1": -1}
+
+
+def _finite(value) -> bool:
+    """No NaN or infinity anywhere in a result, its records' fields included."""
+    if value is None or isinstance(value, (int, str, Fraction)):
+        return True
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "biu" or bool(np.isfinite(value).all())
+    if isinstance(value, sp.LogProb):
+        return _finite(value.prob)  # a log of -inf is the exact zero
+    if isinstance(value, sp.EmpiricalDistribution):
+        return _finite((value.atoms, value.counts))
+    if isinstance(value, dict):
+        return _finite([*value, *value.values()])
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return all(_finite(getattr(value, field.name)) for field in dataclasses.fields(value))
+
+
+def test_the_sweep_names_every_public_callable_once():
+    assert sorted([*_VALID_CALLS, *_NOT_SWEPT]) == sp.__all__
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_CALLS))
+def test_edge_values_raise_domain_errors_or_return_finite_results(name):
+    # arguments that take one of the package's objects, or a text label, are
+    # not numbers: those objects are swept through their own constructors
+    call, valid = getattr(sp, name), _VALID_CALLS[name]
+    assert _finite(call(*valid))
+    failures = []
+    for k, arg in enumerate(valid):
+        if isinstance(arg, (str, sp.ModelParams, sp.EmpiricalDistribution, sp.PointSet)):
+            continue
+        for label, edge in _EDGE_VALUES.items():
+            args = [*valid[:k], edge, *valid[k + 1 :]]
+            start = time.perf_counter()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    outcome = "finite" if _finite(call(*args)) else "not finite"
+            except DomainError:  # EmptySampleError included
+                outcome = "finite"
+            except Exception as exc:  # noqa: BLE001 - each failure is reported below
+                outcome = f"{type(exc).__name__}: {exc}"
+            elapsed = time.perf_counter() - start
+            if outcome != "finite" or elapsed > 2.0:
+                failures.append(f"argument {k} = {label}: {outcome} in {elapsed:.2f} s")
+    assert failures == []

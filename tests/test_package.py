@@ -1,5 +1,6 @@
 """The package namespace: public names resolve to their layers, and layers run on first touch."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,6 +13,12 @@ import spacings as sp
 from spacings import _LAYER_OF, _PUBLIC
 
 _LAYERS = ("diagnostics", "distribution", "errors", "logprob", "oracle", "sampler", "sequences")
+# public functions that no CLI route, demo, acceptance criterion or README example names
+_LIBRARY_ONLY = {
+    "size_tail": "the exact law's normalizer T: every pmf, cdf and sweep request takes log T "
+                 "from it through spacing_distribution",
+    "grid": "the sampler tests' point-by-point reference route: sample_subset over grid(n)",
+}
 
 
 def _in_fresh_process(code: str) -> str:
@@ -131,3 +138,27 @@ print(spacings.LogProb.__name__, type(sys.modules["spacings.logprob"]) is types.
 
 def test_a_layer_whose_code_raised_runs_again_on_the_next_read():
     assert _in_fresh_process(_RETRY).splitlines() == ["raised _Registered", "LogProb True"]
+
+
+def _names_in(code: str) -> set:
+    """Every name, attribute and imported name that ``code`` mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_function_has_a_caller_the_system_runs(quickstart):
+    root = Path(__file__).resolve().parents[1]
+    callers = [root / "src" / "spacings" / "cli.py", *sorted((root / "demos").glob("*.py")),
+               root / "tests" / "test_acceptance.py"]
+    named = _names_in(quickstart).union(*(_names_in(path.read_text()) for path in callers))
+    functions = {name for name in sp.__all__ if isinstance(getattr(sp, name), types.FunctionType)}
+    unreached = sorted(functions - named - set(_LIBRARY_ONLY))
+    assert not unreached, f"public functions with no caller the system runs: {unreached}"
+    assert set(_LIBRARY_ONLY) <= functions - named  # each exception is still needed

@@ -110,20 +110,6 @@ class TestSampleSubset:
             sp.sample_subset(sp.grid(5), 0.5, 1 << 64)
 
 
-class TestIthScaledSpacing:
-    def _run_with(self, survivors):
-        return sp.SampleRun(sp.grid(10), 0.5, 0, np.asarray(survivors))
-
-    def test_index_difference(self):
-        assert sp.ith_scaled_spacing(self._run_with([0, 3, 7]), 1, 10) == 3
-        assert sp.ith_scaled_spacing(self._run_with([0, 3, 7]), 2, 10) == 4
-        assert sp.ith_scaled_spacing(self._run_with([2, 4]), 1, 10) == 2
-
-    def test_missing_when_too_few_survivors(self):
-        assert sp.ith_scaled_spacing(self._run_with([0, 3, 7]), 3, 10) is None
-        assert sp.ith_scaled_spacing(self._run_with([]), 1, 10) is None
-
-
 class TestCollectEmpirical:
     def test_small_grid_mass(self):
         emp = sp.collect_empirical(2, 0.5, 1, 1_000_000, 31337)
@@ -488,4 +474,10 @@ def test_first_spacing_matches_process_view():
     emp_stream = sp.EmpiricalDistribution(
         {int(d): int(c) for d, c in enumerate(counts) if d >= 1 and c > 0}
     )
-    assert sp.tv_between(emp_grid, emp_stream) < 0.01
+    support = np.union1d(emp_grid.atoms, emp_stream.atoms)
+    masses = []
+    for emp in (emp_grid, emp_stream):
+        full = np.zeros(support.size)
+        full[np.searchsorted(support, emp.atoms)] = emp.counts / emp.counts.sum()
+        masses.append(full)
+    assert 0.5 * np.abs(masses[0] - masses[1]).sum() < 0.01  # total variation

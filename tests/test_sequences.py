@@ -6,7 +6,7 @@ import pytest
 import spacings as sp
 from spacings.distribution import GRID_N_MAX
 from spacings.errors import DomainError
-from spacings.sequences import FAREY_ORDER_MAX
+from spacings.sequences import FAREY_ORDER_MAX, _farey_arrays
 
 
 def _totients(limit):
@@ -35,12 +35,17 @@ class TestGrid:
             sp.grid(n)
 
 
+def _farey_pairs(order):
+    num, den = _farey_arrays(order)
+    return list(zip(num.tolist(), den.tolist()))
+
+
 class TestFarey:
     def test_order_one(self):
-        assert sp.farey_pairs(1) == [(0, 1), (1, 1)]
+        assert _farey_pairs(1) == [(0, 1), (1, 1)]
 
     def test_order_three(self):
-        assert sp.farey_pairs(3) == [(0, 1), (1, 3), (1, 2), (2, 3), (1, 1)]
+        assert _farey_pairs(3) == [(0, 1), (1, 3), (1, 2), (2, 3), (1, 1)]
 
     def test_order_five_count(self):
         assert len(sp.farey(5)) == 11  # 1 + phi(1) + ... + phi(5)
@@ -48,23 +53,22 @@ class TestFarey:
     @pytest.mark.parametrize("order", [2, 7, 30, 100])
     def test_count_is_one_plus_totient_sum(self, order):
         phi = _totients(order)
-        assert len(sp.farey_pairs(order)) == 1 + sum(phi[1 : order + 1])
+        assert len(_farey_pairs(order)) == 1 + sum(phi[1 : order + 1])
 
     @pytest.mark.parametrize("order", [1, 2, 3, 10, 50, 300])
     def test_neighbor_identity(self, order):
-        pairs = sp.farey_pairs(order)
+        pairs = _farey_pairs(order)
         for (a, b), (c, d) in zip(pairs, pairs[1:]):
             assert b * c - a * d == 1
 
     def test_fractions_are_reduced(self):
-        for a, b in sp.farey_pairs(40):
+        for a, b in _farey_pairs(40):
             assert math.gcd(a, b) == 1 and 1 <= b <= 40
 
-    @pytest.mark.parametrize("build", [sp.farey, sp.farey_pairs])
     @pytest.mark.parametrize("order", [0, FAREY_ORDER_MAX + 1])
-    def test_invalid(self, build, order):
+    def test_invalid(self, order):
         with pytest.raises(DomainError):
-            build(order)
+            sp.farey(order)
 
 
 class TestRotation:
