@@ -78,8 +78,8 @@ _CHUNK = 4096
 _LOG_TAIL_BOUND = -55 * math.log(2.0)
 # The i = 1 closed form is refused below this (n+1)p, where its error passes 1e-12.
 _CLOSED_FORM_MIN_NP = 1.25e-3
-# DistributionTable.validate's bound on |sum of masses - 1|.
-_VALIDATE_TOL = 1e-10
+# The largest J of binomial_sum_partial, and so of binomial_sum_stop_index.
+_PARTIAL_J_MAX = 2**20
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,13 @@ class ModelParams:
         object.__setattr__(self, "n", check_int(self.n, "n", 1, GRID_N_MAX))
         object.__setattr__(self, "p", check_p(self.p))
         object.__setattr__(self, "i", check_int(self.i, "i", 1, self.n))
+
+
+def _checked_params(params) -> ModelParams:
+    """``params`` if it is a ModelParams, else DomainError, before any cache hashes it."""
+    if not isinstance(params, ModelParams):
+        raise DomainError(f"params must be a ModelParams, not {type(params).__name__}")
+    return params
 
 
 def _logsumexp_unimodal(logterm, lo: int, hi: int, descending: bool = False) -> float:
@@ -271,7 +278,7 @@ def pmf_scaled(params: ModelParams, d) -> float:
     Bit-equal to ``spacing_distribution(params).mass[d - 1]``: both read the
     same cached block.
     """
-    d = check_int(d, "d", 1, params.n)
+    d = check_int(d, "d", 1, _checked_params(params).n)
     return float(_masses(params, d, d)[0])
 
 
@@ -285,6 +292,9 @@ class DistributionTable:
     """
 
     params: ModelParams
+
+    def __post_init__(self) -> None:
+        _checked_params(self.params)
 
     @property
     def d(self) -> np.ndarray:
@@ -312,15 +322,6 @@ class DistributionTable:
     def total(self) -> float:
         return float(self.mass.sum())
 
-    def validate(self) -> None:
-        n, i = self.params.n, self.params.i
-        if abs(self.total - 1.0) > _VALIDATE_TOL:
-            raise DomainError(f"masses sum to {self.total}, not 1")
-        if np.any(self.mass < 0.0):
-            raise DomainError("negative mass")
-        if np.any(self.mass[n - i + 1 :] != 0.0):
-            raise DomainError("nonzero mass beyond the support cutoff n-i+1")
-
 
 def spacing_distribution(params: ModelParams) -> DistributionTable:
     """The conditional pmf for every d = 1..n, as a lazy table.
@@ -328,8 +329,9 @@ def spacing_distribution(params: ModelParams) -> DistributionTable:
     Builds (or takes from the cache) the normalizer log T shared by every d;
     no n-length array is allocated until ``mass`` or ``cdf`` is read.
     """
+    table = DistributionTable(params)
     _table_masses(params)
-    return DistributionTable(params)
+    return table
 
 
 def cdf_scaled(params: ModelParams, d) -> float:
@@ -338,7 +340,7 @@ def cdf_scaled(params: ModelParams, d) -> float:
     The running sum of the first d masses, in O(d + min(i, sd)) per block of
     4096 steps.
     """
-    d = check_int(d, "d", 1, params.n)
+    d = check_int(d, "d", 1, _checked_params(params).n)
     return float(spacing_distribution(params).head(d)[1][-1])
 
 
@@ -430,19 +432,21 @@ def binomial_sum_stop_index(p, i) -> int:
     the negative-binomial mean i/p and truncates inside the bulk once i is
     large; J bounds the tail for any i.  The exact law does not use it.
 
-    The search probes binomials of up to (3i + 20 sqrt(i) + 90) / p trials
-    (3i/p for large i, 63/p at i = 1), and :func:`log_binom_pmf` takes at
-    most 2**996 trials, so p below (3i + 20 sqrt(i) + 90) 2**-996, about
-    1.7e-298 at i = 1, raises DomainError naming that bound.  i is at most
-    GRID_N_MAX; below p = 1 each tail sums O(sqrt(i / p)) terms, so the
-    search takes about 0.4 s at i = 10**9 and 8-13 s at i = 10**12.
+    An index past 2**20, the largest J :func:`binomial_sum_partial` takes,
+    raises DomainError.  i + 60 / -log(1-p) is compared with that bound as a
+    float, before it is rounded up (at p = 5e-324 it is inf); only then does
+    the search run, at p > 5.7e-5 and i <= 2**20, where each of its tails
+    sums O(sqrt(i / p)) terms.
     """
     p = check_p(p)
     i = check_int(i, "i", 1, GRID_N_MAX)
-    p_min = (3 * i + 20 * math.isqrt(i) + 90) / 2**996
-    if p < p_min:
-        raise DomainError(f"p={p!r} is below {p_min!r}, the smallest p supported at i={i}")
-    return max(i + int(math.ceil(60.0 / -_log_q(p))), _series_stop(p, i))
+    nats = 60.0 / -_log_q(p)
+    stop = (math.inf if i + nats > _PARTIAL_J_MAX
+            else max(i + math.ceil(nats), _series_stop(p, i)))
+    if stop > _PARTIAL_J_MAX:
+        raise DomainError(f"the series at p={p!r}, i={i} converges past "
+                          f"J={_PARTIAL_J_MAX}, the bound of binomial_sum_partial")
+    return stop
 
 
 def binomial_sum_partial(p, i, J) -> tuple[float, float]:
@@ -462,7 +466,7 @@ def binomial_sum_partial(p, i, J) -> tuple[float, float]:
     """
     p = check_p(p)
     i = check_int(i, "i", 1, GRID_N_MAX)
-    J = check_int(J, "J", 0, 2**20)
+    J = check_int(J, "J", 0, _PARTIAL_J_MAX)
     q, log_q = 1.0 - p, _log_q(p)
 
     def term(j: int) -> float:

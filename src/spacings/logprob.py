@@ -80,14 +80,6 @@ class LogProb:
         if self.log > 0.0:
             object.__setattr__(self, "log", 0.0)
 
-    @property
-    def prob(self) -> float:
-        return math.exp(self.log)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log == _NEG_INF
-
 
 def log_pow(log_base: float, k) -> np.ndarray:
     """log(b**k) given log(b), with the 0**0 = 1 convention.

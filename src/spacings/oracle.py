@@ -57,8 +57,9 @@ def _check_args(n, i) -> tuple[int, int]:
 class ExactTable(NamedTuple):
     """Conditional spacing pmf with exact rational masses over d = 1..n.
 
-    A named tuple of (n, p, i, masses): immutable, so it is also iterable
-    and compares equal to a plain tuple of the same four values.  A named
+    A named tuple of (n, p, masses): immutable, so it is also iterable and
+    compares equal to a plain tuple of the same three values.  ``mass(d)``
+    reads one mass; sums and float conversions are left to the caller.  A named
     tuple, not a dataclass, because ``dataclasses`` imports ``inspect``,
     which an oracle request, running without numpy, would load for this
     class alone.
@@ -66,18 +67,10 @@ class ExactTable(NamedTuple):
 
     n: int
     p: Fraction
-    i: int
     masses: dict[int, Fraction]
 
     def mass(self, d: int) -> Fraction:
         return self.masses[d]
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.masses.values(), Fraction(0))
-
-    def as_floats(self) -> dict[int, float]:
-        return {d: float(m) for d, m in self.masses.items()}
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +113,7 @@ def enumerate_conditional_pmf(n, p, i) -> ExactTable:
     for ones, d, count in _gap_counts(n, i):
         masses[d] += count * weight[ones]
     total = sum(masses.values(), Fraction(0))
-    return ExactTable(n, p, i, {d: m / total for d, m in masses.items()})
+    return ExactTable(n, p, {d: m / total for d, m in masses.items()})
 
 
 def exact_closed_form_pmf(n, p, i) -> ExactTable:
@@ -150,4 +143,4 @@ def exact_closed_form_pmf(n, p, i) -> ExactTable:
     for d in range(1, n + 1):
         masses[d] = Fraction(scale * s[n - d], denom)
         scale *= c
-    return ExactTable(n, p, i, masses)
+    return ExactTable(n, p, masses)

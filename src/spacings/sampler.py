@@ -67,12 +67,11 @@ class SampleRun:
 
     ``survivors`` holds the indices of the retained points; ``spacings``
     are the gaps between the values of consecutive survivors and sum to
-    (last survivor) - (first survivor).
+    (last survivor) - (first survivor).  The record holds the thinned set
+    and its survivors only: p and the seed stay with the caller.
     """
 
     points: PointSet
-    p: float
-    seed: int
     survivors: np.ndarray
 
     @property
@@ -109,7 +108,7 @@ def sample_subset(points: PointSet, p, seed) -> SampleRun:
         last = int(positions[-1])
     survivors = np.concatenate(pieces)
     survivors.flags.writeable = False
-    return SampleRun(points, p, seed, survivors)
+    return SampleRun(points, survivors)
 
 
 class EmpiricalDistribution:

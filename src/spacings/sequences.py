@@ -27,7 +27,6 @@ class PointSet:
     """A strictly increasing finite set of points in [0, 1]."""
 
     points: np.ndarray
-    descriptor: str
 
     def __post_init__(self) -> None:
         pts = np.ascontiguousarray(check_floats(self.points, "points"))
@@ -49,7 +48,7 @@ def grid(n) -> PointSet:
     n = check_int(n, "n", 1, GRID_N_MAX)
     with checked_allocation():
         points = np.arange(n + 1) / n
-    return PointSet(points, f"grid({n})")
+    return PointSet(points)
 
 
 def _farey_arrays(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +70,7 @@ def farey(order) -> PointSet:
     """Farey fractions of the given order, as a point set."""
     q = check_int(order, "Q", 1, FAREY_ORDER_MAX)
     num, den = _farey_arrays(q)
-    return PointSet(num / den, f"farey({q})")
+    return PointSet(num / den)
 
 
 def rotation(alpha, count) -> PointSet:
@@ -92,4 +91,4 @@ def rotation(alpha, count) -> PointSet:
     vals.sort()
     fresh = np.ones(vals.size, dtype=bool)
     np.not_equal(vals[1:], vals[:-1], out=fresh[1:])
-    return PointSet(vals[fresh], f"rotation({alpha!r},{count})")
+    return PointSet(vals[fresh])

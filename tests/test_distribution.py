@@ -74,7 +74,7 @@ class TestLogProb:
     @pytest.mark.parametrize("log", [5e-324, 1e-12, _LOG_SLACK])
     def test_rounding_slack_above_zero_is_stored_as_zero(self, log):
         value = LogProb(log)
-        assert value.log == 0.0 and value.prob == 1.0
+        assert value.log == 0.0 and math.exp(value.log) == 1.0
 
     def test_stores_a_python_float_and_refuses_text(self):
         for log in (np.float64(-1.5), -2, np.array(-0.25)):
@@ -85,8 +85,8 @@ class TestLogProb:
 
     def test_zero(self):
         zero = LogProb(-math.inf)
-        assert zero.is_zero and zero.log == -math.inf and zero.prob == 0.0
-        assert not LogProb(-1e300).is_zero
+        assert zero.log == -math.inf and math.exp(zero.log) == 0.0
+        assert LogProb(-1e300).log > -math.inf
 
 
 class TestSizeTail:
@@ -95,15 +95,15 @@ class TestSizeTail:
         [(2, 0.5, 1, 0.5), (2, 0.5, 2, 0.125), (5, 1.0, 3, 1.0), (2, 0.5, 0, 7 / 8)],
     )
     def test_values(self, n, p, i, expected):
-        assert sp.size_tail(n, p, i).prob == pytest.approx(expected, rel=1e-13)
+        assert math.exp(sp.size_tail(n, p, i).log) == pytest.approx(expected, rel=1e-13)
 
     def test_huge_n_is_certain(self):
-        assert sp.size_tail(10**6, 0.1, 10).prob == 1.0
+        assert math.exp(sp.size_tail(10**6, 0.1, 10).log) == 1.0
 
     def test_tiny_tail_stays_in_log_range(self):
         # all but the last few points must survive: far below double range
         got = sp.size_tail(2000, 0.001, 1990)
-        assert not got.is_zero
+        assert got.log > -math.inf
         assert got.log < -5000
 
     @pytest.mark.parametrize("n,p,i", [(0, 0.5, 0), (5, 0.5, 6), (5, 0.5, -1), (5, 0.0, 1)])
@@ -138,7 +138,7 @@ class TestPmfScaled:
         # conditioning on the position j of the i-th survivor re-derives the
         # law: T f(d) = sum_j P(i-th at j) * p * q**(d-1) over j <= n-d
         params, q = sp.ModelParams(n, p, i), 1.0 - p
-        t = sp.size_tail(n, p, i).prob
+        t = math.exp(sp.size_tail(n, p, i).log)
         for d in range(1, n - i + 2):
             weights = np.exp(distribution._log_survivor_weight(np.arange(i - 1, n - d + 1), p, i))
             assembled = math.fsum(weights) * p * q ** (d - 1)
@@ -175,7 +175,9 @@ class TestDistributionTable:
     @pytest.mark.parametrize("n,p,i", [(5, 0.5, 1), (50, 0.2, 2), (1000, 0.05, 4)])
     def test_invariants(self, n, p, i):
         table = sp.spacing_distribution(sp.ModelParams(n, p, i))
-        table.validate()
+        assert abs(table.total - 1.0) <= 1e-10
+        assert (table.mass >= 0.0).all()
+        assert (table.mass[n - i + 1 :] == 0.0).all()
         assert table.cdf[-1] == pytest.approx(1.0, abs=1e-10)
 
     def test_mass_array_is_read_only(self):
@@ -353,7 +355,7 @@ class TestSurvivorWeight:
         # positions j = 0..n of the i-th survivor plus the no-i-th-survivor
         # event exhaust the sample space
         weights = np.exp(distribution._log_survivor_weight(np.arange(0, n + 1), p, i))
-        too_few = sp.binomial_cdf_tail_check(n, p, i - 1).prob
+        too_few = math.exp(sp.binomial_cdf_tail_check(n, p, i - 1).log)
         assert math.fsum(weights) + too_few == pytest.approx(1.0, abs=1e-10)
 
 
@@ -385,7 +387,7 @@ class TestBinomialSum:
             previous = partial
 
     def test_stop_index_rule(self):
-        for i in (1, 4, 10**12):  # at p = 1 the series stops at its first term
+        for i in (1, 4, 2**20):  # at p = 1 the series stops at its first term
             assert sp.binomial_sum_stop_index(1.0, i) == i
         expected = 3 + math.ceil(60 / -math.log1p(-0.2))
         assert sp.binomial_sum_stop_index(0.2, 3) == expected
@@ -393,25 +395,32 @@ class TestBinomialSum:
     @pytest.mark.parametrize("i", [1, 3])
     @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-17])
     def test_stop_index_at_tiny_p(self, p, i):
-        # below the smallest supported p the search would need binomials
-        # past 2**996 trials; that is a DomainError, never an OverflowError
-        p_min = (3 * i + 20 * math.isqrt(i) + 90) / 2**996
-        if p < p_min:
-            with pytest.raises(DomainError, match=re.escape(repr(p_min))):
-                sp.binomial_sum_stop_index(p, i)
-        else:
-            assert sp.binomial_sum_stop_index(p, i) == i + math.ceil(60 / -math.log1p(-p))
+        # the 60-nat length alone passes 2**20: a DomainError, never an OverflowError
+        with pytest.raises(DomainError, match="converges past J=1048576"):
+            sp.binomial_sum_stop_index(p, i)
+
+    @pytest.mark.parametrize("p,i", [(0.5, 10**12), (1e-6, 1)])
+    def test_stop_index_past_the_bound_is_refused_at_once(self, p, i):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="converges past J=1048576"):
+            sp.binomial_sum_stop_index(p, i)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("i", [1, 3, 100, 1000])
-    def test_stop_index_at_the_smallest_supported_p(self, i):
-        p_min = (3 * i + 20 * math.isqrt(i) + 90) / 2**996
+    def test_stop_index_reaches_the_partial_sums_bound(self, i):
+        # bisect on p down to adjacent floats: the smallest p that is not
+        # refused gives the bound itself, and the next float below is refused
+        lo, hi = 1e-12, 1.0
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            try:
+                sp.binomial_sum_stop_index(mid, i)
+                hi = mid
+            except DomainError:
+                lo = mid
         with np.errstate(over="raise", invalid="raise"):
-            stop = sp.binomial_sum_stop_index(p_min, i)
-        # tiny p: the tail search converges where Poisson((J+1)p) does
-        assert stop * p_min == pytest.approx(
-            max(60, sp.binomial_sum_stop_index(1e-17, i) * 1e-17), rel=1e-6)
+            assert sp.binomial_sum_stop_index(hi, i) == 2**20
         with pytest.raises(DomainError):
-            sp.binomial_sum_stop_index(math.nextafter(p_min, 0.0), i)
+            sp.binomial_sum_stop_index(lo, i)
 
 
 class TestBinomialCdfTailCheck:
@@ -421,7 +430,7 @@ class TestBinomialCdfTailCheck:
         )
 
     def test_p_one_lower_tail_is_zero(self):
-        assert sp.binomial_cdf_tail_check(5, 1.0, 3).is_zero
+        assert sp.binomial_cdf_tail_check(5, 1.0, 3).log == -math.inf
 
     def test_large_n_deep_tail(self):
         assert sp.binomial_cdf_tail_check(10**4, 0.1, 5).log < -200
@@ -675,10 +684,9 @@ class TestTailEdges:
             assert lower == pytest.approx(math.log1p(-math.exp(want)), rel=1e-12, abs=1e-300)
 
     def test_n_1_values(self):
-        assert sp.size_tail(1, 0.3, 1).prob == pytest.approx(0.09, rel=1e-14)
-        assert sp.binomial_cdf_tail_check(1, 0.3, 1).prob == pytest.approx(0.91, rel=1e-14)
-        assert sp.size_tail(1, 0.3, 0).prob == pytest.approx(0.51, rel=1e-14)
-        assert sp.binomial_cdf_tail_check(1, 0.3, 0).prob == pytest.approx(0.49, rel=1e-14)
+        for check, i, expected in ((sp.size_tail, 1, 0.09), (sp.binomial_cdf_tail_check, 1, 0.91),
+                                   (sp.size_tail, 0, 0.51), (sp.binomial_cdf_tail_check, 0, 0.49)):
+            assert math.exp(check(1, 0.3, i).log) == pytest.approx(expected, rel=1e-14)
 
     def test_p_one(self, monkeypatch):
         # every point survives: exact tails and masses with no tail scan, so

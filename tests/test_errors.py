@@ -105,6 +105,7 @@ _VALID_CALLS = {
     "pmf_scaled": (_PARAMS, 3),
     "size_tail": (10, 0.5, 2),
     "spacing_distribution": (_PARAMS,),
+    "DistributionTable": (_PARAMS,),
     "LogProb": (-1.0,),
     "enumerate_conditional_pmf": (6, Fraction(1, 3), 2),
     "exact_closed_form_pmf": (6, Fraction(1, 3), 2),
@@ -112,7 +113,7 @@ _VALID_CALLS = {
     "collect_empirical": (50, 0.5, 2, 100, 1),
     "inter_arrival_stream": (0.5, 1, 10),
     "sample_subset": (_POINTS, 0.5, 1),
-    "PointSet": (np.array([0.0, 0.5]), "two points"),
+    "PointSet": (np.array([0.0, 0.5]),),
     "farey": (5,),
     "grid": (10,),
     "rotation": (0.3, 10),
@@ -127,12 +128,13 @@ _NOT_SWEPT = {
     "EmptySampleError": "an exception type: any message is valid",
     "EnumerationLimitError": "an exception type: any message is valid",
     "Rational": "fractions.Fraction itself; the oracle reads p through its own check",
-    "DistributionTable": "a result record: spacing_distribution builds it from a ModelParams",
-    "ExactTable": "a result record of the two oracle functions, which are swept",
-    "SampleRun": "a result record of sample_subset, which is swept",
+    "ExactTable": "a result record of the two oracle functions, which are swept; "
+                  "it holds their checked n and p and checks nothing itself",
+    "SampleRun": "a result record of sample_subset, which is swept; it holds a PointSet, "
+                 "checked by its constructor, and survivor indices it checks nothing of",
 }
 _EDGE_VALUES = {"nan": NAN, "inf": INF, "-inf": -INF, "text": "x", "10**400": 10**400,
-                "2**63": 2**63, "[]": [], "-1": -1}
+                "2**63": 2**63, "[]": [], "-1": -1, "None": None, "tuple": (5, 0.5, 1)}
 
 
 def _finite(value) -> bool:
@@ -144,7 +146,7 @@ def _finite(value) -> bool:
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "biu" or bool(np.isfinite(value).all())
     if isinstance(value, sp.LogProb):
-        return _finite(value.prob)  # a log of -inf is the exact zero
+        return _finite(math.exp(value.log))  # a log of -inf is the exact zero
     if isinstance(value, sp.EmpiricalDistribution):
         return _finite((value.atoms, value.counts))
     if isinstance(value, dict):
@@ -160,13 +162,13 @@ def test_the_sweep_names_every_public_callable_once():
 
 @pytest.mark.parametrize("name", sorted(_VALID_CALLS))
 def test_edge_values_raise_domain_errors_or_return_finite_results(name):
-    # arguments that take one of the package's objects, or a text label, are
-    # not numbers: those objects are swept through their own constructors
+    # arguments that take an EmpiricalDistribution or a PointSet are swept
+    # through those constructors; a ModelParams argument is swept here too
     call, valid = getattr(sp, name), _VALID_CALLS[name]
     assert _finite(call(*valid))
     failures = []
     for k, arg in enumerate(valid):
-        if isinstance(arg, (str, sp.ModelParams, sp.EmpiricalDistribution, sp.PointSet)):
+        if isinstance(arg, (sp.EmpiricalDistribution, sp.PointSet)):
             continue
         for label, edge in _EDGE_VALUES.items():
             args = [*valid[:k], edge, *valid[k + 1 :]]

@@ -1,16 +1,19 @@
 """The package namespace: public names resolve to their layers, and layers run on first touch."""
 
 import ast
+import functools
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
 import pytest
 
 import spacings as sp
-from spacings import _LAYER_OF, _PUBLIC
+from spacings import _LAYER_OF, _PUBLIC, distribution
 
 _LAYERS = ("diagnostics", "distribution", "errors", "logprob", "oracle", "sampler", "sequences")
 # public functions that no CLI route, demo, acceptance criterion or README example names
@@ -19,6 +22,9 @@ _LIBRARY_ONLY = {
                  "from it through spacing_distribution",
     "grid": "the sampler tests' point-by-point reference route: sample_subset over grid(n)",
 }
+# public members of public classes that no part of the system reads (none today)
+_MEMBERS_WITHOUT_READER: dict[str, str] = {}
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _in_fresh_process(code: str) -> str:
@@ -162,3 +168,68 @@ def test_every_public_function_has_a_caller_the_system_runs(quickstart):
     unreached = sorted(functions - named - set(_LIBRARY_ONLY))
     assert not unreached, f"public functions with no caller the system runs: {unreached}"
     assert set(_LIBRARY_ONLY) <= functions - named  # each exception is still needed
+
+
+def _attributes_in(code: str) -> set:
+    """Every name that ``code`` reads or sets as an attribute."""
+    return {node.attr for node in ast.walk(ast.parse(code)) if isinstance(node, ast.Attribute)}
+
+
+def _members(cls) -> set:
+    """The public fields, properties and methods of ``cls``, and what it sets on ``self``."""
+    stores = {node.attr for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls))))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return {name for name in {*vars(cls), *inspect.get_annotations(cls), *stores}
+            if not name.startswith("_")}
+
+
+def test_every_public_member_has_a_reader_the_system_runs(quickstart):
+    """Each field, property and method of a public class is read by a part of the system.
+
+    The readers are the package's layers, ``cli.py`` among them, the demos,
+    ``tests/test_acceptance.py``, README's Library quickstart block and
+    ``bench/*.py``.  Dunders, private names, exception types and classes
+    defined outside the package (``Rational``) are exempt.  A member counts
+    as read when its name is read or set as an attribute anywhere in those
+    files: the match is by name, so it cannot tell ``ExactTable.total`` from
+    ``EmpiricalDistribution.total``, and one reader of a name covers every
+    class that has it.
+    """
+    readers = [*sorted((_ROOT / "src" / "spacings").glob("*.py")),
+               *sorted((_ROOT / "demos").glob("*.py")), _ROOT / "tests" / "test_acceptance.py",
+               *sorted((_ROOT / "bench").glob("*.py"))]
+    named = _attributes_in(quickstart).union(*(_attributes_in(path.read_text())
+                                               for path in readers))
+    classes = [obj for obj in (getattr(sp, name) for name in sp.__all__)
+               if isinstance(obj, type) and obj.__module__.startswith("spacings")
+               and not issubclass(obj, BaseException)]
+    members = {f"{cls.__name__}.{name}": name for cls in classes for name in _members(cls)}
+    unread = sorted(member for member, name in members.items()
+                    if name not in named and member not in _MEMBERS_WITHOUT_READER)
+    assert not unread, f"public members that no part of the system reads: {unread}"
+    for member in _MEMBERS_WITHOUT_READER:  # each exception is still needed
+        assert member in members and members[member] not in named
+
+
+def test_every_package_part_the_benchmark_reads_exists():
+    # bench/*.py runs the package from outside it: a rename there fails the
+    # benchmark, not the package's own tests, so each part it reads is named here
+    bench = [ast.parse(path.read_text()) for path in sorted((_ROOT / "bench").glob("*.py"))]
+    reads = {node.attr for tree in bench for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "sp"}
+    # point_queries.py reads each query kind as getattr(sp, kind)
+    kinds = {kind for tree in bench for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MIX"
+             for kind in ast.literal_eval(node.value)}
+    assert "ModelParams" in reads and "pmf_scaled" in kinds
+    assert sorted((reads | kinds) - set(sp.__all__)) == []
+    table = sp.enumerate_conditional_pmf(3, "1/2", 1)
+    assert table.n == 3 and table.mass(1) == table.masses[1]
+    assert type(sp.size_tail(10, 0.5, 2).log) is float
+    assert type(sp.collect_empirical(10, 0.5, 1, 100, 1).total) is int
+    assert sp.sample_subset(sp.grid(4), 0.5, 1).survivors.ndim == 1
+    assert isinstance(vars(sp.DistributionTable)["cdf"], functools.cached_property)
+    assert callable(distribution._table_masses.cache_info)
+    assert {"n", "p", "i", "trials"} <= set(inspect.signature(sp.collect_empirical).parameters)

@@ -133,7 +133,7 @@ class TestCollectEmpirical:
     def test_discard_rate_matches_size_tail(self, n, p, i):
         trials = 1_000_000
         emp = sp.collect_empirical(n, p, i, trials, 2024)
-        tail = sp.size_tail(n, p, i).prob
+        tail = math.exp(sp.size_tail(n, p, i).log)
         se = math.sqrt(tail * (1 - tail) / trials)
         assert abs(emp.total / trials - tail) < 4 * se
         assert emp.total + emp.discarded == trials
@@ -297,7 +297,7 @@ class TestCollectEmpirical:
         emp = sp.collect_empirical(n, p, i, trials, 12)
         drawn = _dense_counts(emp, n)
         walked, walk_discarded = self._whole_row_reference(n, p, i, trials, 13)
-        tail = sp.size_tail(n, p, i).prob
+        tail = math.exp(sp.size_tail(n, p, i).log)
         se = math.sqrt(trials * tail * (1 - tail))
         for counts, discarded in ((drawn, emp.discarded), (walked, walk_discarded)):
             assert counts.sum() + discarded == trials
@@ -337,7 +337,7 @@ class TestCollectEmpirical:
         trials = 200_000
         exact = sp.enumerate_conditional_pmf(n, p, i)
         masses = np.array([float(exact.mass(d)) for d in range(1, n + 1)])
-        tail = sp.size_tail(n, float(p), i).prob
+        tail = math.exp(sp.size_tail(n, float(p), i).log)
         emp = sp.collect_empirical(n, float(p), i, trials, 606)
         skipped = _dense_counts(emp, n)
         dense, dense_discarded = dense_reference(n, float(p), i, trials, 607)
@@ -353,7 +353,7 @@ class TestCollectEmpirical:
         mass = sp.spacing_distribution(sp.ModelParams(n, p, i)).head(min(k, n))[0]
         emp = sp.collect_empirical(n, p, i, trials, 909)
         counts = _dense_counts(emp, mass.size)
-        tail = sp.size_tail(n, p, i).prob
+        tail = math.exp(sp.size_tail(n, p, i).log)
         se = math.sqrt(trials * tail * (1 - tail))
         assert abs(emp.total - trials * tail) <= 4 * se
         # one last cell for d past the head

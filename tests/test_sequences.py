@@ -119,18 +119,18 @@ class TestRotation:
 class TestPointSet:
     def test_rejects_unsorted(self):
         with pytest.raises(DomainError):
-            sp.PointSet(np.array([0.2, 0.1]), "bad")
+            sp.PointSet(np.array([0.2, 0.1]))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            sp.PointSet(np.array([0.0, 1.5]), "bad")
+            sp.PointSet(np.array([0.0, 1.5]))
         with pytest.raises(DomainError):
-            sp.PointSet(np.array([0.0, math.nan]), "bad")
+            sp.PointSet(np.array([0.0, math.nan]))
 
     @pytest.mark.parametrize("points", ["abc", [0.1, "a"], [0.1, None]])
     def test_rejects_non_numbers(self, points):
         with pytest.raises(DomainError, match="points"):
-            sp.PointSet(points, "bad")
+            sp.PointSet(points)
 
     def test_points_are_read_only(self):
         ps = sp.grid(4)
