@@ -460,24 +460,26 @@ def binomial_sum_partial(p, i, J) -> tuple[float, float]:
     partial carries only per-term rounding (~1e-15 relative) and truncation.
     A partial beyond the largest double is inf, as closed is.  i is at most
     GRID_N_MAX, and J at most 2**20: the sum is a Python loop of J - i + 2
-    terms, 0.24 s at that bound and i = 1 on a 2-vCPU host.  Each term's
-    exact binomial has about (i-1) log2 J bits, so larger i costs more per
-    term (about 8 s at J = 2**20, i = 100, p = 0.9, extrapolated).
+    terms, each binomial taken from the one before by an exact multiply and
+    divide, 0.29 s at that bound and i = 1 on a 2-vCPU host.  Each binomial
+    has about (i-1) log2 J bits, so larger i costs more per term: at
+    J = 2**20 and p = 0.9, 0.85 s at i = 100, 3.7 s at i = 1000 and 20 s at
+    i = 10**4.
     """
     p = check_p(p)
     i = check_int(i, "i", 1, GRID_N_MAX)
     J = check_int(J, "J", 0, _PARTIAL_J_MAX)
     q, log_q = 1.0 - p, _log_q(p)
 
-    def term(j: int) -> float:
-        c = math.comb(j, i - 1)
-        if c.bit_length() <= 1020:
-            return c * q**j
-        # binomial too large for a float on its own; pair it with the decay
-        return math.exp(math.log(c) + j * log_q)
+    def terms():
+        c = 1  # C(j, i-1) from j = i-1, by C(j+1, i-1) = C(j, i-1) (j+1) / (j+2-i)
+        for j in range(i - 1, J + 1):
+            # a binomial too large for a float on its own is paired with the decay
+            yield c * q**j if c.bit_length() <= 1020 else math.exp(math.log(c) + j * log_q)
+            c = c * (j + 1) // (j + 2 - i)
 
     try:
-        partial = math.fsum(term(j) for j in range(i - 1, J + 1))
+        partial = math.fsum(terms())
     except OverflowError:  # a term, or the running sum, beyond the largest double
         partial = math.inf
     log_closed = log_pow(log_q, i - 1) - i * math.log(p)

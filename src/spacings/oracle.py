@@ -1,26 +1,26 @@
 """Brute-force verification of the spacing law by exhaustive enumeration.
 
 Every survival pattern of the n+1 grid points is weighted with exact
-rational arithmetic, so the conditional spacing distribution is computed
+integer arithmetic, so the conditional spacing distribution is computed
 straight from its definition with no closed form involved.  The same table
 evaluated through the closed-form expression (also in exact rationals) must
 then agree term by term.
 
-The patterns are counted, not listed: one left-to-right pass over the
-points carries the number of prefixes in each state of the i-th gap (fewer
-than i survivors; i survivors and r dead points since the i-th; gap d
-recorded and k survivors), so the 2**(n+1) patterns cost O(n**3) plain
-integer additions.  The counts are p-free and exact, and the weights exact
-fractions.  At n = 16, the cap, the pass takes under a millisecond in well
-under 1 MiB (tested).  The cap is the domain the tests check pattern by
-pattern, not a bound on cost.
+The patterns are summed, not listed.  With p = a/b and c = b - a, a
+pattern with k survivors has probability a**k c**(n+1-k) / b**(n+1), so
+one left-to-right pass over the points carries the integer weight of every
+prefix state of the i-th gap (fewer than i survivors; i survivors and r
+dead points since the i-th; gap d recorded, each later point summed out by
+a factor b).  The 2**(n+1) patterns cost O(n(i + n)) big-integer updates,
+and the masses are the gap weights over their sum.  At n = 16, the cap,
+the pass takes well under a millisecond in under 1 MiB (tested).  The cap
+is the domain the tests check pattern by pattern, not a bound on cost.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, EnumerationLimitError, check_int
@@ -73,28 +73,30 @@ class ExactTable(NamedTuple):
         return self.masses[d]
 
 
-@lru_cache(maxsize=None)
-def _gap_counts(n: int, i: int) -> tuple[tuple[int, int, int], ...]:
-    """(survivor count k, i-th gap d, number of patterns) over all patterns with k > i.
+def _walk(n: int, p: Fraction, i: int) -> ExactTable:
+    """The enumerated table for checked n, p and i, at any n.
 
-    Each grid point, from left to right, survives or dies in every prefix.
-    ``below[s]`` counts the prefixes with s < i survivors, ``waiting[r]``
-    those with i survivors and r dead points since the i-th, and
-    ``gaps[d][m]`` those whose i-th gap was d, with i + 1 + m survivors.
+    Each grid point, from left to right, survives (factor a) or dies
+    (factor c) in every prefix.  ``below[s]`` weighs the prefixes with
+    s < i survivors, ``waiting[r]`` those with i survivors and r dead points
+    since the i-th, and ``gaps[d]`` those whose i-th gap was d, each later
+    point summed out by a + c = b.  The prefixes of one state share their
+    survivors' factor a**s, so the weights carry only the factors c: the
+    a**(i+1) common to every gap cancels in the masses.
     """
+    b = p.denominator
+    c = b - p.numerator
     below = [1] + [0] * (i - 1)
     waiting = []
-    gaps = {}
+    gaps = [0] * (n + 1)
     for _ in range(n + 1):
-        for d, row in gaps.items():  # survives: m + 1, dies: m
-            gaps[d] = [a + b for a, b in zip(row + [0], [0] + row)]
-        for d, count in enumerate(waiting, 1):  # survives as the (i+1)-th: gap d = r + 1
-            if count:
-                gaps.setdefault(d, [0])[0] += count
-        waiting = [below[-1], *waiting]  # survives as the i-th (r = 0), or dies: r + 1
-        below = [below[0], *(a + b for a, b in zip(below[1:], below))]
-    return tuple(sorted((i + 1 + m, d, count) for d, row in gaps.items()
-                        for m, count in enumerate(row) if count))
+        gaps = [b * w for w in gaps]  # a point after the gap: survives or dies, a + c
+        for d, w in enumerate(waiting, 1):  # survives as the (i+1)-th: gap d = r + 1
+            gaps[d] += w
+        waiting = [below[-1], *(c * w for w in waiting)]  # the i-th (r = 0), or r + 1
+        below = [c * below[0], *(c * x + y for x, y in zip(below[1:], below))]
+    total = sum(gaps)
+    return ExactTable(n, p, {d: Fraction(gaps[d], total) for d in range(1, n + 1)})
 
 
 def enumerate_conditional_pmf(n, p, i) -> ExactTable:
@@ -102,18 +104,12 @@ def enumerate_conditional_pmf(n, p, i) -> ExactTable:
 
     Each pattern with more than i survivors contributes p**ones * (1-p)**zeros
     to the mass of its observed i-th gap; the masses are then normalized by
-    their own total (the probability of the conditioning event).  The result
+    their own total (the probability of the conditioning event).  One pass
+    in integer weights sums the patterns in O(n(i + n)) updates.  The result
     sums to exactly 1.
     """
     n, i = _check_args(n, i)
-    p = _as_rational(p)
-    q = 1 - p
-    weight = [p**o * q ** (n + 1 - o) for o in range(n + 2)]
-    masses = {d: Fraction(0) for d in range(1, n + 1)}
-    for ones, d, count in _gap_counts(n, i):
-        masses[d] += count * weight[ones]
-    total = sum(masses.values(), Fraction(0))
-    return ExactTable(n, p, {d: m / total for d, m in masses.items()})
+    return _walk(n, _as_rational(p), i)
 
 
 def exact_closed_form_pmf(n, p, i) -> ExactTable:

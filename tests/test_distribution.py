@@ -386,6 +386,25 @@ class TestBinomialSum:
             assert partial <= closed * (1 + 1e-12)
             previous = partial
 
+    @pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("i", [1, 2, 5, 40, 300])
+    def test_partial_is_bit_equal_to_terms_from_math_comb(self, p, i):
+        # the recurrence gives the same integers C(j, i-1), so the same terms
+        # and the same fsum; past 1020 bits a term is exp(log C + j log q),
+        # and at (0.2, 300) those terms carry the sum up to J = 1500
+        q, log_q = 1.0 - p, math.log1p(-p)
+
+        def term(j):
+            c = math.comb(j, i - 1)
+            return c * q**j if c.bit_length() <= 1020 else math.exp(math.log(c) + j * log_q)
+
+        for J in (0, i - 1, i + 10, 1_500):
+            try:
+                want = math.fsum(term(j) for j in range(i - 1, J + 1))
+            except OverflowError:
+                want = math.inf
+            assert sp.binomial_sum_partial(p, i, J)[0] == want, J
+
     def test_stop_index_rule(self):
         for i in (1, 4, 2**20):  # at p = 1 the series stops at its first term
             assert sp.binomial_sum_stop_index(1.0, i) == i
@@ -512,7 +531,7 @@ class TestSurvivorWeightPrefix:
 
 
 class TestRelativeAccuracy:
-    """Masses against the closed form in exact rationals, n = 150..400.
+    """Masses against the enumeration walk in exact rationals, n = 150..400.
 
     Dyadic p are exact doubles, so both sides see the same p.
     """
@@ -521,11 +540,9 @@ class TestRelativeAccuracy:
         (150, Fraction(5, 16), 5), (200, Fraction(1, 8), 40),
         (300, Fraction(1, 2), 12), (400, Fraction(7, 8), 20),
     ])
-    def test_masses_within_5e_13_relative(self, monkeypatch, n, p, i):
-        # the closed form sums, it does not enumerate: lift the enumeration cap
-        monkeypatch.setattr(oracle, "MAX_ENUMERATION_N", n)
+    def test_masses_within_5e_13_relative(self, n, p, i):
         pf = float(p)
-        exact = oracle.exact_closed_form_pmf(n, p, i)
+        exact = oracle._walk(n, p, i)
         params = sp.ModelParams(n, pf, i)
         table = sp.spacing_distribution(params)
         checked = 0
@@ -543,16 +560,15 @@ class TestRelativeAccuracy:
     @pytest.mark.parametrize("n,p,i", [
         (400, Fraction(1, 2), 100), (400, Fraction(7, 8), 150), (300, Fraction(1, 4), 70),
     ])
-    def test_stirling_fallback_within_5e_13_relative(self, monkeypatch, n, p, i):
+    def test_stirling_fallback_within_5e_13_relative(self, n, p, i):
         # a large lower index i - 1 of the survivor weights' log C(j, i-1)
-        self.test_masses_within_5e_13_relative(monkeypatch, n, p, i)
+        self.test_masses_within_5e_13_relative(n, p, i)
 
     @pytest.mark.parametrize("n,p,i", [(150, 0.5, 63), (150, 0.3, 64), (150, 0.3, 65),
                                        (400, 0.1, 63), (400, 0.1, 64)])
-    def test_masses_within_8e_14_relative_at_i_near_64(self, monkeypatch, n, p, i):
+    def test_masses_within_8e_14_relative_at_i_near_64(self, n, p, i):
         # every lower index i - 1 takes log C(j, i-1) from the same Stirling form
-        monkeypatch.setattr(oracle, "MAX_ENUMERATION_N", n)
-        exact = oracle.exact_closed_form_pmf(n, Fraction(p), i)
+        exact = oracle._walk(n, Fraction(p), i)
         mass = sp.spacing_distribution(sp.ModelParams(n, p, i)).mass
         for d in range(1, n + 1):
             want = float(exact.mass(d))
@@ -566,15 +582,11 @@ class TestRelativeAccuracy:
 def test_law_matches_exact_rationals_for_any_float_p(ni, p):
     n, i = ni
     exact_p = Fraction(p)
-    # the exact table costs O(n) reductions of (n * log2(denominator))-bit integers
+    # the walk costs O(n(i + n)) products of up to (n * log2(denominator))-bit integers
     if n * exact_p.denominator.bit_length() > 40_000:
         n = max(1, 40_000 // exact_p.denominator.bit_length())
         i = min(i, n)
-    saved, oracle.MAX_ENUMERATION_N = oracle.MAX_ENUMERATION_N, n
-    try:
-        exact = oracle.exact_closed_form_pmf(n, exact_p, i)
-    finally:
-        oracle.MAX_ENUMERATION_N = saved
+    exact = oracle._walk(n, exact_p, i)
     mass, cdf = sp.spacing_distribution(sp.ModelParams(n, p, i)).head(n)
     # The law is exp of a difference of logs as large as L nats, and a double
     # near L is only good to about 1e-16 L: 5e-13 relative holds to L = 250.

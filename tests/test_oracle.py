@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -6,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import spacings as sp
+from spacings import oracle
+from spacings.cli import run
 from spacings.errors import DomainError, EnumerationLimitError
-from spacings.oracle import _gap_counts
 
 
 def test_hand_enumerated_example():
@@ -83,7 +85,7 @@ def test_rejects_floats_and_bad_ranges():
 
 
 def _reference_gap_counts(n, i):
-    """The oracle's counts, one pattern at a time in plain Python."""
+    """(survivors, gap, count) over the patterns with more than i survivors, one at a time."""
     tally = Counter()
     for mask in range(1 << (n + 1)):
         ones = mask.bit_count()
@@ -99,40 +101,86 @@ def _reference_gap_counts(n, i):
     return sorted((ones, d, c) for (ones, d), c in tally.items())
 
 
+def _tally_masses(n, p, i, counts):
+    """The masses of the (survivors, gap, count) tally, weighted at p."""
+    masses = {d: Fraction(0) for d in range(1, n + 1)}
+    for ones, d, count in counts:
+        masses[d] += count * p**ones * (1 - p) ** (n + 1 - ones)
+    total = sum(masses.values())
+    return {d: m / total for d, m in masses.items()}
+
+
+_TALLY_P = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(7, 8), Fraction(5, 16))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
-def test_gap_counts_equal_the_per_pattern_walk(n):
+def test_walk_equals_the_per_pattern_tally(n):
     for i in range(1, n + 1):
-        got = _gap_counts(n, i)
-        assert all(type(v) is int for row in got for v in row)
-        assert sorted(got) == _reference_gap_counts(n, i)
+        counts = _reference_gap_counts(n, i)
+        for p in _TALLY_P:
+            assert oracle._walk(n, p, i).masses == _tally_masses(n, p, i, counts), (i, p)
 
 
 @pytest.mark.parametrize("i", [1, 2, 8, 15, 16])
-def test_gap_counts_at_the_cap(i):
-    _gap_counts.cache_clear()
-    tracemalloc.start()
-    try:
-        got = _gap_counts(16, i)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sorted(got) == _reference_gap_counts(16, i)
-    assert sum(c for _, _, c in got) == sum(math.comb(17, k) for k in range(i + 1, 18))
-    assert peak < 2**20
-
-
-def _formula_gap_counts(n, i):
-    """c(k, d) = sum_j C(j, i-1) C(n-j-d, k-i-1): the i-th survivor at j, the next at j + d."""
-    return [(k, d, c) for k in range(i + 1, n + 2) for d in range(1, n + 1)
-            if (c := sum(math.comb(j, i - 1) * math.comb(n - j - d, k - i - 1)
-                         for j in range(i - 1, n - d + 1)))]
+def test_walk_at_the_cap(i):
+    counts = _reference_gap_counts(16, i)
+    assert sum(c for _, _, c in counts) == sum(math.comb(17, k) for k in range(i + 1, 18))
+    for p in _TALLY_P:
+        tracemalloc.start()
+        try:
+            got = oracle._walk(16, p, i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.masses == _tally_masses(16, p, i, counts), p
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", range(1, 17))
-def test_gap_counts_equal_the_formula_in_counts(n):
-    # equal p-free counts make the enumerated and closed-form laws equal at every p in (0, 1]
+def test_walk_equals_the_formula_at_every_p(n):
+    """The walk and the closed form agree at every p in (0, 1], not just at these.
+
+    Each mass of either is a ratio N(p) / D(p) of two polynomials in p of
+    degree at most n + 1, and D > 0 on (0, 1] (it is the probability of
+    more than i survivors).  Two such ratios are equal where N1 D2 - N2 D1,
+    of degree at most 2n + 2, vanishes; if it vanishes at the 2n + 3
+    distinct points k / (2n + 3), k = 1..2n+3, it is the zero polynomial.
+    """
+    m = 2 * n + 3
     for i in range(1, n + 1):
-        assert list(_gap_counts(n, i)) == _formula_gap_counts(n, i)
+        for k in range(1, m + 1):
+            p = Fraction(k, m)
+            assert oracle._walk(n, p, i).masses == sp.exact_closed_form_pmf(n, p, i).masses, (i, k)
+
+
+# SHA-256 of the oracle's stdout at n = 16, recorded before the walk took
+# integer weights; exact rationals print the same bytes on every platform.
+_ORACLE_SHA256 = {
+    ("1/3", 2, "csv"): "2d00f8ce90a1c823b91109481ee735161c0a8821f6e1327e21b484a29bc69f5a",
+    ("1/3", 2, "json"): "91f20d32513fb1640016fef208e9e5c9a4a91076dab8eac15734b2b5370a4363",
+    ("1/4", 2, "csv"): "40b21976cbb8f967d33a6396105271bdee71a5d25552d5f2e9cbcaea2df72773",
+    ("1/4", 2, "json"): "86136041201e9434d6a931dde4f4d5e2a9f3404ad8fd89d142451fb3562cd5e5",
+    ("2/5", 2, "csv"): "4a2fb2952af36ae2f08573d1cfcc1255c1f7c2d3fd9c90caacb5cc121defc970",
+    ("2/5", 2, "json"): "4c28ac07eadfaa330ffe745d8b8b4ded7b98bcc65f19dd5457958903a2ed8008",
+    ("3/10", 2, "csv"): "13c16d08c5bdf732180ceb84ef2c5750dedfe74d0fedfe1fde0373f6864235ed",
+    ("3/10", 2, "json"): "e2e358b5e0d55467f0820ad175934124d10e153fd7d08712a66f84a95356b1cf",
+    ("9/10", 8, "csv"): "8daae4c0580722003317966148af3a2be1ac8b6f8eee335bdd9c0f8f4b4c8812",
+    ("9/10", 8, "json"): "43f43f5fe3567be0421f90336c28879a76c704e94c751bdea292fc14a7743724",
+    ("7/8", 8, "csv"): "c1dfe8f95928300340defcbb6e064e6e150ff2e16bfd2f2449ee088fdfc643c1",
+    ("7/8", 8, "json"): "44f93ac2ff7874fcb399d30fa8aadbd5e109895b8acd0d88241352f766e00bc0",
+    ("5/6", 8, "csv"): "e710d2bed8d478f3452fd36323a57c8215b6284d7e73d06c461643b402c43e6b",
+    ("5/6", 8, "json"): "c46ba307ac6c3fa5716fede0ae0d1309bc68a2a845d13dca374df17319b8f383",
+    ("4/5", 8, "csv"): "52f826c43b6fdd7f2b89fbf94e54e51bcba7873bcbefab541f3dbfaab94dd8f6",
+    ("4/5", 8, "json"): "e708d01cf1af691747db8cbbb91db0bb23fd48958488a222c182ac2dd6cb7982",
+}
+
+
+@pytest.mark.parametrize("p,i,fmt", sorted(_ORACLE_SHA256))
+def test_oracle_stdout_keeps_its_bytes(capsys, p, i, fmt):
+    assert run(["oracle", "--n", "16", "--p", p, "--i", str(i), "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == _ORACLE_SHA256[p, i, fmt]
+    assert err == ("MATCH\n" if fmt == "json" else "")
 
 
 def _upper_tail(m, p, i):
