@@ -17,7 +17,7 @@ import numpy as np
 
 from . import distribution  # registered, not run: its names are read when a function runs
 from .errors import (DomainError, EmptySampleError, check_float, check_floats, check_int,
-                     check_p)
+                     check_p, checked_allocation)
 
 if TYPE_CHECKING:  # annotations only: a sweep does not run the sampler
     from .sampler import EmpiricalDistribution
@@ -94,7 +94,8 @@ def convergence_sweep(p, i, n_list, d_max) -> list[tuple[int, float]]:
         raise DomainError("n_list must not be empty")
     if d_max > min(ns):
         raise DomainError(f"d_max={d_max} exceeds the smallest n={min(ns)}")
-    limit = distribution.limit_cdf(p, np.arange(1, d_max + 1))
+    with checked_allocation():
+        limit = distribution.limit_cdf(p, np.arange(1, d_max + 1))
     out = []
     for n in sorted(ns):
         params = distribution.ModelParams(n, p, i)

@@ -24,10 +24,14 @@ U(M+1) = U(M) + p P(Binomial(M, p) = i-1).  Nothing cancels, and a mass
 depends on (n, p, i, d) alone, whichever call asks for it.
 
 Cost: log T is cached per parameter triple and the masses per (triple,
-block).  The masses or cdf values of d = 1..k cost O(k + min(i, sd)) per
-block touched, sd the binomial standard deviation, whatever n and p are
-(``DistributionTable.head``, ``cdf_scaled``, ``pmf_scaled``); only the full
-``mass``/``cdf`` arrays are O(n).
+block), at most 128 blocks.  The masses or cdf values of d = 1..k cost
+O(k + min(i, sd)) per block touched, sd the binomial standard deviation,
+whatever n and p are (``DistributionTable.head``, ``cdf_scaled``,
+``pmf_scaled``); only the full ``mass``/``cdf`` arrays are O(n).  A prefix
+d = 1..k is read by one reader (``_masses``), which allocates its output
+once and copies each block's log numerators into it, so it holds the output
+plus one 4096-step block; a k whose output this host cannot hold raises
+DomainError, with numpy's message, before any block is computed.
 
 Accuracy: masses agree with the closed form in exact rationals to 5e-13
 relative wherever they are normal doubles (tested at n = 150..400, i <= 150;
@@ -63,7 +67,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GRID_N_MAX, DomainError, check_int, check_ints, check_p
+from .errors import GRID_N_MAX, DomainError, check_int, check_ints, check_p, checked_allocation
 from .logprob import LogProb, log_binom_pmf, log_pow
 
 _NEG_INF = float("-inf")
@@ -240,19 +244,19 @@ def _block_log_numerators(params: ModelParams, block: int) -> np.ndarray:
     return out
 
 
-def _log_numerators(params: ModelParams, lo: int, hi: int) -> np.ndarray:
-    """log p q**(d-1) U(n-d+1) for d = lo..hi, read from the cached blocks."""
-    if hi < lo:
-        return np.empty(0)
-    first = (lo - 1) // _CHUNK
-    blocks = [_block_log_numerators(params, b) for b in range(first, (hi - 1) // _CHUNK + 1)]
-    start = lo - 1 - first * _CHUNK
-    return np.concatenate(blocks)[start : start + hi - lo + 1]
+def _masses(params: ModelParams, k: int) -> np.ndarray:
+    """Conditional masses of the steps d = 1..k; zero past n-i+1.
 
-
-def _masses(params: ModelParams, lo: int, hi: int) -> np.ndarray:
-    """Conditional masses of the steps d = lo..hi; zero past n-i+1."""
-    return np.exp(_log_numerators(params, lo, hi) - _table_masses(params))
+    The output is allocated once, before any block is computed, and a size
+    this host cannot hold raises DomainError; each cached block's log
+    numerators are copied into it, and log T is subtracted and the
+    exponential taken in place.
+    """
+    with checked_allocation():
+        out = np.empty(k)
+    for start in range(0, k, _CHUNK):
+        out[start : start + _CHUNK] = _block_log_numerators(params, start // _CHUNK)[: k - start]
+    return np.exp(np.subtract(out, _table_masses(params), out=out), out=out)
 
 
 def _checked_tails(n, p, i) -> tuple[float, float]:
@@ -279,7 +283,9 @@ def pmf_scaled(params: ModelParams, d) -> float:
     same cached block.
     """
     d = check_int(d, "d", 1, _checked_params(params).n)
-    return float(_masses(params, d, d)[0])
+    # exp of a one-entry slice runs numpy's array kernel, as _masses does: the same bits
+    b, j = divmod(d - 1, _CHUNK)
+    return float(np.exp(_block_log_numerators(params, b)[j : j + 1] - _table_masses(params))[0])
 
 
 @dataclass(frozen=True)
@@ -289,6 +295,9 @@ class DistributionTable:
     Masses come from cached blocks of 4096 steps.  ``head(k)`` returns the
     first k masses and cdf values in O(k + min(i, sd)) per block touched; the
     full ``mass`` and ``cdf`` arrays (read-only) are built on first access only.
+    Each read of d = 1..k allocates its output once and holds the output plus
+    one block; a size this host cannot hold raises DomainError before any
+    block is computed, and so does ``d`` for an n it cannot hold.
     """
 
     params: ModelParams
@@ -298,17 +307,18 @@ class DistributionTable:
 
     @property
     def d(self) -> np.ndarray:
-        return np.arange(1, self.params.n + 1)
+        with checked_allocation():
+            return np.arange(1, self.params.n + 1)
 
     def head(self, k) -> tuple[np.ndarray, np.ndarray]:
         """Masses and cdf values for d = 1..k."""
         k = check_int(k, "k", 0, self.params.n)
-        mass = _masses(self.params, 1, k)
+        mass = _masses(self.params, k)
         return mass, np.cumsum(mass)
 
     @cached_property
     def mass(self) -> np.ndarray:
-        out = _masses(self.params, 1, self.params.n)
+        out = _masses(self.params, self.params.n)
         out.flags.writeable = False
         return out
 

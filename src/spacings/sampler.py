@@ -46,7 +46,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, EmptySampleError, check_int, check_ints, check_p
+from .errors import (DomainError, EmptySampleError, check_int, check_ints, check_p,
+                     checked_allocation)
 
 if TYPE_CHECKING:  # annotations only: grid Monte Carlo does not run sequences
     from .sequences import PointSet
@@ -68,11 +69,21 @@ class SampleRun:
     ``survivors`` holds the indices of the retained points; ``spacings``
     are the gaps between the values of consecutive survivors and sum to
     (last survivor) - (first survivor).  The record holds the thinned set
-    and its survivors only: p and the seed stay with the caller.
+    and its survivors only: p and the seed stay with the caller.  Survivors
+    that are not a 1-D integer array (an empty one included) of strictly
+    increasing indices into the points raise DomainError, in O(survivors).
     """
 
     points: PointSet
     survivors: np.ndarray
+
+    def __post_init__(self) -> None:
+        s = self.survivors
+        if not (isinstance(s, np.ndarray) and s.ndim == 1 and s.dtype.kind in "iu"):
+            raise DomainError("survivors must be a 1-D integer array")
+        if s.size and (s[0] < 0 or s[-1] >= len(self.points) or (s[1:] <= s[:-1]).any()):
+            raise DomainError(f"survivors must be strictly increasing indices in "
+                              f"0..{len(self.points) - 1}")
 
     @property
     def survivor_values(self) -> np.ndarray:
@@ -163,8 +174,9 @@ class EmpiricalDistribution:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Support 1..max_observed and the count of each value."""
-        d = np.arange(1, self.max_observed + 1)
-        c = np.zeros(self.max_observed, dtype=np.int64)
+        with checked_allocation():
+            d = np.arange(1, self.max_observed + 1)
+            c = np.zeros(self.max_observed, dtype=np.int64)
         c[self.atoms - 1] = self.counts
         return d, c
 
@@ -282,4 +294,5 @@ def inter_arrival_stream(p, seed, count) -> np.ndarray:
         raise DomainError(f"p={p} below 2**-56: inter-arrival gaps would overflow int64")
     seed = check_int(seed, "seed", 0, _SEED_MAX)
     count = check_int(count, "count", 1, 2**53)
-    return np.random.default_rng(seed).geometric(p, count)
+    with checked_allocation():
+        return np.random.default_rng(seed).geometric(p, count)

@@ -530,6 +530,40 @@ class TestSurvivorWeightPrefix:
             assert abs(got - want) <= 5e-13 * want, (d, got, want)
 
 
+class TestPrefixReader:
+    """``head``, ``mass`` and ``cdf_scaled`` read d = 1..k through one allocation."""
+
+    def test_head_zero_is_empty(self):
+        mass, cdf = sp.spacing_distribution(sp.ModelParams(10, 0.5, 2)).head(0)
+        assert mass.dtype == cdf.dtype == np.float64
+        assert mass.shape == cdf.shape == (0,)
+
+    # n = 10,001 ends 1,809 steps into its third block; at i = 1 the mass at d = n is not 0
+    @pytest.mark.parametrize("p,i", [(1e-3, 1), (0.3, 4)])
+    def test_pmf_scaled_is_bit_equal_to_mass_across_block_seams(self, p, i):
+        n = 10_001
+        params = sp.ModelParams(n, p, i)
+        mass = sp.spacing_distribution(params).mass
+        for d in (1, 4_095, 4_096, 4_097, 8_192, 8_193, n):
+            got = np.float64(sp.pmf_scaled(params, d))
+            assert got.tobytes() == mass[d - 1].tobytes(), d
+        assert (mass[n - 1] > 0.0) == (i == 1)
+        # every other d too: a scalar exp differs from numpy's array kernel in the last bit
+        scalar = np.array([sp.pmf_scaled(params, d) for d in range(1, n + 1)])
+        assert scalar.tobytes() == mass.tobytes()
+
+    # 64 PiB of float64 at n = k = GRID_N_MAX, past any 128 TiB user address space
+    @pytest.mark.parametrize("call", [
+        "sp.spacing_distribution(sp.ModelParams(GRID_N_MAX, 0.5, 1)).head(GRID_N_MAX)",
+        "sp.spacing_distribution(sp.ModelParams(GRID_N_MAX, 0.5, 1)).mass",
+        "sp.cdf_scaled(sp.ModelParams(GRID_N_MAX, 0.5, 1), GRID_N_MAX)",
+    ], ids=["head", "mass", "cdf_scaled"])
+    def test_a_prefix_the_host_cannot_hold_is_refused_before_any_block(self, bounded_refusal,
+                                                                       call):
+        seconds, message = bounded_refusal(call)
+        assert seconds < 1.0 and message.startswith("Unable to allocate 64.0 PiB"), message
+
+
 class TestRelativeAccuracy:
     """Masses against the enumeration walk in exact rationals, n = 150..400.
 

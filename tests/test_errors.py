@@ -113,6 +113,7 @@ _VALID_CALLS = {
     "collect_empirical": (50, 0.5, 2, 100, 1),
     "inter_arrival_stream": (0.5, 1, 10),
     "sample_subset": (_POINTS, 0.5, 1),
+    "SampleRun": (_POINTS, np.array([1, 3, 5])),
     "PointSet": (np.array([0.0, 0.5]),),
     "farey": (5,),
     "grid": (10,),
@@ -130,8 +131,6 @@ _NOT_SWEPT = {
     "Rational": "fractions.Fraction itself; the oracle reads p through its own check",
     "ExactTable": "a result record of the two oracle functions, which are swept; "
                   "it holds their checked n and p and checks nothing itself",
-    "SampleRun": "a result record of sample_subset, which is swept; it holds a PointSet, "
-                 "checked by its constructor, and survivor indices it checks nothing of",
 }
 _EDGE_VALUES = {"nan": NAN, "inf": INF, "-inf": -INF, "text": "x", "10**400": 10**400,
                 "2**63": 2**63, "[]": [], "-1": -1, "None": None, "tuple": (5, 0.5, 1)}
@@ -154,6 +153,18 @@ def _finite(value) -> bool:
     if isinstance(value, (tuple, list)):
         return all(map(_finite, value))
     return all(_finite(getattr(value, field.name)) for field in dataclasses.fields(value))
+
+
+# caller-sized arrays past any 128 TiB user address space, each within its argument's bounds
+@pytest.mark.parametrize("call", [
+    "sp.inter_arrival_stream(0.5, 1, 2**53)",
+    "sp.spacing_distribution(sp.ModelParams(GRID_N_MAX, 0.5, 1)).d",
+    "sp.convergence_sweep(0.5, 1, [GRID_N_MAX], GRID_N_MAX)",
+    "sp.EmpiricalDistribution({GRID_N_MAX: 1}).as_arrays()",
+], ids=["inter_arrival_stream", "DistributionTable.d", "convergence_sweep", "as_arrays"])
+def test_an_array_the_host_cannot_hold_is_a_domain_error(bounded_refusal, call):
+    seconds, message = bounded_refusal(call)
+    assert seconds < 1.0 and message.startswith("Unable to allocate 64.0 PiB"), message
 
 
 def test_the_sweep_names_every_public_callable_once():

@@ -110,6 +110,24 @@ class TestSampleSubset:
             sp.sample_subset(sp.grid(5), 0.5, 1 << 64)
 
 
+class TestSampleRun:
+    def test_survivors_the_sampler_draws_are_accepted(self):
+        run = sp.sample_subset(sp.grid(10), 1.0, 7)
+        assert sp.SampleRun(run.points, run.survivors).spacings.size == 10
+        empty = sp.SampleRun(sp.grid(3), np.array([], dtype=np.int64))
+        assert empty.spacings.size == 0
+        assert sp.SampleRun(sp.grid(3), np.array([0, 3], dtype=np.uint8)).spacings.tolist() == [1.0]
+
+    @pytest.mark.parametrize("survivors", [
+        np.array([10]), np.array([3, 4]), np.array([-1, 2]), np.array([2, 1]), np.array([1, 1]),
+        np.array([1.0, 2.0]), np.array([[1, 2]]), np.array([]), [1, 2], None,
+    ], ids=["past-the-end", "last-past-the-end", "negative", "decreasing", "repeated",
+            "float", "2-d", "empty-float", "list", "none"])
+    def test_other_survivors_are_domain_errors(self, survivors):
+        with pytest.raises(DomainError, match="survivors must be"):
+            sp.SampleRun(sp.grid(3), survivors)
+
+
 class TestCollectEmpirical:
     def test_small_grid_mass(self):
         emp = sp.collect_empirical(2, 0.5, 1, 1_000_000, 31337)
