@@ -23,8 +23,7 @@ report = sp.ks_to_geometric(emp, p)
 print(f"retained spacings: {int(emp.total)}   discarded trials: {emp.discarded}")
 print(f"KS distance to Geometric({p}): {report.ks:.4f}   TV: {report.tv:.4f}\n")
 
-d, counts = emp.as_arrays()
-mass = counts / emp.total
+d, counts, mass = emp.atoms, emp.counts, emp.masses  # the spacings seen and their tallies
 limit = sp.limit_pmf(p, d)
 
 print(f"{'d':>4} {'count':>7} {'empirical':>11} {'limit':>11}")

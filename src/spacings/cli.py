@@ -198,13 +198,16 @@ def _cmd_limit(args) -> None:
 
 
 def _cmd_sample(args) -> None:
+    import numpy as np
+
     p = _parse_p(args.p)
     emp = sampler.collect_empirical(args.n, p, args.i, args.trials, args.seed)
-    total = emp.total
-    d, counts = emp.as_arrays()
-    _emit({"d": d, "count": counts, "empirical_mass": counts / total,
+    d = _steps(None, int(emp.atoms.max(initial=0)))  # every d up to the largest seen
+    counts = np.zeros(d.size, dtype=np.int64)
+    counts[emp.atoms - 1] = emp.counts
+    _emit({"d": d, "count": counts, "empirical_mass": counts / emp.total,
            "limit_pmf": distribution.limit_pmf(p, d)}, args.format)
-    print(f"retained={total} discarded={emp.discarded}", file=sys.stderr)
+    print(f"retained={emp.total} discarded={emp.discarded}", file=sys.stderr)
 
 
 def _cmd_stream(args) -> None:

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import distribution  # registered, not run: its names are read when a function runs
-from .errors import (DomainError, EmptySampleError, check_float, check_floats, check_int,
-                     check_p, checked_allocation)
-
-if TYPE_CHECKING:  # annotations only: a sweep does not run the sampler
-    from .sampler import EmpiricalDistribution
+# registered, not run: their names are read when a function runs
+from . import distribution, sampler
+from .errors import (DomainError, EmptySampleError, check_float, check_floats, check_instance,
+                     check_int, check_p, checked_allocation)
 
 
 @dataclass(frozen=True)
@@ -49,18 +46,20 @@ class DistanceReport:
                 raise DomainError("TV distance must be in [0, 1]")
 
 
-def ks_to_geometric(emp: EmpiricalDistribution, p) -> DistanceReport:
+def ks_to_geometric(emp: sampler.EmpiricalDistribution, p) -> DistanceReport:
     """Compare an empirical spacing histogram with the geometric(p) limit.
 
     KS is the sup over d = 1..max observed of |empirical CDF - geometric
     CDF|; TV additionally charges the geometric mass beyond the observed
-    range, where the empirical mass function is zero.
+    range, where the empirical mass function is zero.  ``emp`` must be an
+    ``EmpiricalDistribution``; anything else raises DomainError.
 
     Both are evaluated at the observed atoms only, so the cost grows with
     the number of distinct values, not with the largest one.  Between
     atoms the empirical CDF is flat and the geometric CDF increases, so the
     KS sup lies at an atom a or just below it, at a - 1.
     """
+    check_instance(emp, sampler.EmpiricalDistribution, "emp")
     p = check_p(p)
     atoms, emp_mass = emp.atoms, emp.masses
     emp_cdf = np.cumsum(emp_mass)

@@ -67,7 +67,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GRID_N_MAX, DomainError, check_int, check_ints, check_p, checked_allocation
+from .errors import (GRID_N_MAX, DomainError, check_instance, check_int, check_ints, check_p,
+                     checked_allocation)
 from .logprob import LogProb, log_binom_pmf, log_pow
 
 _NEG_INF = float("-inf")
@@ -102,13 +103,6 @@ class ModelParams:
         object.__setattr__(self, "n", check_int(self.n, "n", 1, GRID_N_MAX))
         object.__setattr__(self, "p", check_p(self.p))
         object.__setattr__(self, "i", check_int(self.i, "i", 1, self.n))
-
-
-def _checked_params(params) -> ModelParams:
-    """``params`` if it is a ModelParams, else DomainError, before any cache hashes it."""
-    if not isinstance(params, ModelParams):
-        raise DomainError(f"params must be a ModelParams, not {type(params).__name__}")
-    return params
 
 
 def _logsumexp_unimodal(logterm, lo: int, hi: int, descending: bool = False) -> float:
@@ -282,7 +276,7 @@ def pmf_scaled(params: ModelParams, d) -> float:
     Bit-equal to ``spacing_distribution(params).mass[d - 1]``: both read the
     same cached block.
     """
-    d = check_int(d, "d", 1, _checked_params(params).n)
+    d = check_int(d, "d", 1, check_instance(params, ModelParams, "params").n)
     # exp of a one-entry slice runs numpy's array kernel, as _masses does: the same bits
     b, j = divmod(d - 1, _CHUNK)
     return float(np.exp(_block_log_numerators(params, b)[j : j + 1] - _table_masses(params))[0])
@@ -303,7 +297,7 @@ class DistributionTable:
     params: ModelParams
 
     def __post_init__(self) -> None:
-        _checked_params(self.params)
+        check_instance(self.params, ModelParams, "params")
 
     @property
     def d(self) -> np.ndarray:
@@ -350,7 +344,7 @@ def cdf_scaled(params: ModelParams, d) -> float:
     The running sum of the first d masses, in O(d + min(i, sd)) per block of
     4096 steps.
     """
-    d = check_int(d, "d", 1, _checked_params(params).n)
+    d = check_int(d, "d", 1, check_instance(params, ModelParams, "params").n)
     return float(spacing_distribution(params).head(d)[1][-1])
 
 

@@ -88,6 +88,14 @@ def check_ints(values, name: str, lo: int, hi: int | None = None):
     return array
 
 
+def check_instance(value, cls: type, name: str):
+    """``value`` if it is a ``cls``, else DomainError naming the type it has."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}, not {type(value).__name__}")
+    return value
+
+
 def check_floats(values, name: str):
     """``values`` as a float64 array of finite values, or DomainError."""
     import numpy as np

@@ -32,6 +32,11 @@ recomputed from its index alone.  Block counts merge by exact integer
 addition, so the outcome depends on (trials, seed) and the model alone,
 never on how many threads run the blocks.  Blocks run on one thread per
 CPU, and at most one thread per block of 65,536 trials.
+
+A histogram has one form, ``EmpiricalDistribution``'s sorted atoms and
+their counts, so its size follows the distinct spacings seen, not the
+largest one.  The dense rows d = 1..max that ``spacings sample`` prints
+are built by the command line alone.
 """
 
 from __future__ import annotations
@@ -42,15 +47,12 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (DomainError, EmptySampleError, check_int, check_ints, check_p,
-                     checked_allocation)
-
-if TYPE_CHECKING:  # annotations only: grid Monte Carlo does not run sequences
-    from .sequences import PointSet
+from . import sequences  # registered, not run: grid Monte Carlo reads none of its names
+from .errors import (DomainError, EmptySampleError, check_instance, check_int, check_ints,
+                     check_p, checked_allocation)
 
 _BLOCK_TRIALS = 1 << 16  # grid trials drawn per block
 _LAM_CAP = 2.0**62  # below numpy's largest Poisson mean; see the module docstring
@@ -67,17 +69,20 @@ class SampleRun:
     """One Bernoulli thinning of a point set.
 
     ``survivors`` holds the indices of the retained points; ``spacings``
-    are the gaps between the values of consecutive survivors and sum to
-    (last survivor) - (first survivor).  The record holds the thinned set
-    and its survivors only: p and the seed stay with the caller.  Survivors
-    that are not a 1-D integer array (an empty one included) of strictly
-    increasing indices into the points raise DomainError, in O(survivors).
+    are the gaps between the values of consecutive survivors,
+    ``np.diff(points.points[survivors])``, and sum to (last survivor) -
+    (first survivor).  The record holds the thinned set and its survivors
+    only: p and the seed stay with the caller.  Points that are not a
+    ``PointSet`` raise DomainError, and so do survivors that are not a 1-D
+    integer array (an empty one included) of strictly increasing indices
+    into the points, in O(survivors).
     """
 
-    points: PointSet
+    points: sequences.PointSet
     survivors: np.ndarray
 
     def __post_init__(self) -> None:
+        check_instance(self.points, sequences.PointSet, "points")
         s = self.survivors
         if not (isinstance(s, np.ndarray) and s.ndim == 1 and s.dtype.kind in "iu"):
             raise DomainError("survivors must be a 1-D integer array")
@@ -86,24 +91,21 @@ class SampleRun:
                               f"0..{len(self.points) - 1}")
 
     @property
-    def survivor_values(self) -> np.ndarray:
-        return self.points.points[self.survivors]
-
-    @property
     def spacings(self) -> np.ndarray:
-        return np.diff(self.survivor_values)
+        return np.diff(self.points.points[self.survivors])
 
 
-def sample_subset(points: PointSet, p, seed) -> SampleRun:
+def sample_subset(points: sequences.PointSet, p, seed) -> SampleRun:
     """Retain each point independently with probability p, in O(survivors).
 
     Steps are drawn in chunks covering the expected survivors plus a margin;
     the chunking does not change the result, since draws are consumed in order.
+    ``points`` must be a ``PointSet``; anything else raises DomainError.
     """
+    size = len(check_instance(points, sequences.PointSet, "points"))
     p = check_p(p)
     seed = check_int(seed, "seed", 0, _SEED_MAX)
     rng = np.random.default_rng(seed)
-    size = len(points)
     pieces = []
     last = -1  # index of the latest survivor
     while True:
@@ -131,6 +133,8 @@ class EmpiricalDistribution:
     >= 1 and counts integers >= 0, each at most 2**63 - 1, with a total
     below 2**63; any other mapping, or a value that is no mapping, raises
     DomainError.  ``discarded`` counts the trials that produced no spacing.
+    The two arrays are the histogram's only form: a d between atoms was not
+    observed, and no dense table of d = 1..max is kept.
     """
 
     def __init__(self, counts: Mapping[int, int], discarded=0):
@@ -162,23 +166,11 @@ class EmpiricalDistribution:
         return f"EmpiricalDistribution({counts}, discarded={self.discarded})"
 
     @property
-    def max_observed(self) -> int:
-        return int(self.atoms[-1]) if self.atoms.size else 0
-
-    @property
     def masses(self) -> np.ndarray:
         """counts / total, aligned with atoms; EmptySampleError when the total is 0."""
         if not self.total:
             raise EmptySampleError("empirical distribution has no observations")
         return self.counts / self.total
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Support 1..max_observed and the count of each value."""
-        with checked_allocation():
-            d = np.arange(1, self.max_observed + 1)
-            c = np.zeros(self.max_observed, dtype=np.int64)
-        c[self.atoms - 1] = self.counts
-        return d, c
 
 
 def _simulate_block(seed: int, b: int, n: int, p: float, i: int,

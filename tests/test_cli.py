@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +19,6 @@ from spacings import cli
 from spacings.cli import run
 from spacings.distribution import GRID_N_MAX
 from spacings.sequences import FAREY_ORDER_MAX
-
-
-def _cli_env() -> dict[str, str]:
-    """This environment with the package's source directory first on PYTHONPATH."""
-    src = str(Path(sp.__file__).resolve().parents[1])
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _lines(capsys):
@@ -111,6 +103,17 @@ class TestOracle:
         assert "MATCH" in err
 
 
+# times one CLI run in a child that exits with its code; the seconds are printed last
+_TIMED_RUN = """
+import sys, time
+from spacings.cli import run
+start = time.perf_counter()
+code = run(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
 class TestSample:
     ARGS = ["sample", "--n", "60", "--p", "0.2", "--i", "1",
             "--trials", "4000", "--seed", "42"]
@@ -134,6 +137,32 @@ class TestSample:
         for line in out.splitlines()[1:3]:
             d, _, _, lim = line.split(",")
             assert float(lim) == pytest.approx(sp.limit_pmf(0.2, int(d)), rel=1e-15)
+
+    def test_rows_are_every_step_up_to_the_largest_seen(self, capsys):
+        assert run(self.ARGS) == 0
+        out, err = capsys.readouterr()
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+        assert all(row[1].isdigit() for row in rows)  # counts print as ints
+        counts = [int(row[1]) for row in rows]
+        assert 0 in counts and counts[-1] > 0  # unseen steps are rows of count 0
+        assert sum(counts) == int(err.split("retained=")[1].split()[0])
+
+    @pytest.mark.parametrize("fmt, table", [("csv", ""), ("json", "[]\n")])
+    def test_an_empty_histogram_prints_no_rows(self, capsys, fmt, table):
+        argv = ["sample", "--n", "2", "--p", "1e-9", "--i", "1", "--trials", "5", "--seed", "1"]
+        assert run([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr() == (table, "retained=0 discarded=5\n")
+
+    def test_a_table_the_host_cannot_hold_exits_2_with_numpy_s_message(self, bounded_python):
+        # a spacing near 4.3e14 asks for a 3.04 PiB column of d
+        argv = ["sample", "--n", "9000000000000000", "--p", "1e-14", "--i", "1",
+                "--trials", "100", "--seed", "1"]
+        proc = bounded_python(["-c", _TIMED_RUN, *argv])
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: Unable to allocate 3.04 PiB"), proc.stderr
+        assert float(proc.stdout) < 1.0  # the seconds alone: no table was written
 
 
 class TestStream:
@@ -332,12 +361,11 @@ def test_csv_and_json_hold_the_same_table(capsys, argv):
                 assert type(value)(cell) == value
 
 
-def test_module_entry_point_runs_the_cli(capsys):
+def test_module_entry_point_runs_the_cli(capsys, fresh_python):
     argv = ["pmf", "--n", "12", "--p", "1/3", "--i", "2"]
     assert run(argv) == 0
     expected, _ = capsys.readouterr()
-    proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_python(["-m", "spacings", *argv], timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == expected
 
@@ -355,7 +383,7 @@ print(",".join(sorted(k for k in sys.modules if k == "scipy" or k.startswith("sc
 """
 
 
-def test_no_subcommand_imports_scipy():
+def test_no_subcommand_imports_scipy(fresh_python):
     argvs = [["pmf", "--n", "100", "--p", "0.3", "--i", "2"],
              ["cdf", "--n", "100", "--p", "0.3", "--i", "2", "--d-max", "5"],
              ["cdf", "--n", "100", "--p", "0.3", "--i", "1", "--closed-form"],
@@ -365,9 +393,7 @@ def test_no_subcommand_imports_scipy():
              ["sweep", "--p", "0.3", "--i", "1", "--n-list", "10,100", "--d-max", "5"],
              ["oracle", "--n", "6", "--p", "1/3", "--i", "2"],
              ["seq-sample", "--Q", "8", "--p", "0.5"]]
-    code = f"ARGVS = {argvs!r}\n{_IMPORT_GUARD}"
-    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
-                          text=True, timeout=120)
+    proc = fresh_python(["-c", f"ARGVS = {argvs!r}\n{_IMPORT_GUARD}"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
 
@@ -396,10 +422,9 @@ _EXACT = "distribution,errors,logprob"
 _DIAGNOSED = "diagnostics,errors,sampler,sequences"
 
 
-def _probe(argv) -> str:
+def _probe(fresh_python, argv) -> str:
     """'<exit code> <layers run> <watched modules loaded>' of ``argv`` in a fresh process."""
-    proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *argv], env=_cli_env(),
-                          capture_output=True, text=True, timeout=120)
+    proc = fresh_python(["-c", _LAYER_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split("\n")[-2]
 
@@ -423,8 +448,8 @@ def _probe(argv) -> str:
      _DIAGNOSED, "dataclasses,json,numpy"),
     (["oracle", "--n", "6", "--p", "1/3", "--i", "2"], "errors,oracle", "decimal,fractions"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_each_subcommand_runs_only_its_layers(argv, layers, stdlib):
-    assert _probe(argv) == f"0 {layers} {stdlib}"
+def test_each_subcommand_runs_only_its_layers(fresh_python, argv, layers, stdlib):
+    assert _probe(fresh_python, argv) == f"0 {layers} {stdlib}"
 
 
 @pytest.mark.parametrize("argv, probed", [
@@ -435,15 +460,14 @@ def test_each_subcommand_runs_only_its_layers(argv, layers, stdlib):
     (["pmf", "--n", "5"], "1 errors "),  # usage error: --p and --i missing
     (["oracle", "--n", "6", "--p", "0.5", "--i", "2"], "2 errors "),  # --p must be a/b
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_requests_that_build_no_array_leave_numpy_unloaded(argv, probed):
-    assert _probe(argv) == probed
+def test_requests_that_build_no_array_leave_numpy_unloaded(fresh_python, argv, probed):
+    assert _probe(fresh_python, argv) == probed
 
 
-def test_importing_the_cli_loads_no_watched_module():
+def test_importing_the_cli_loads_no_watched_module(fresh_python):
     code = (f"import sys; before = set(sys.modules); import spacings.cli; "
             f"print(sorted(m for m in {_WATCHED!r} if m in set(sys.modules) - before))")
-    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
-                          text=True, timeout=120)
+    proc = fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -612,26 +636,23 @@ def test_random_numeric_tables_emit_the_reference_bytes(rows, floats, ints, seed
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_stdout_does_not_depend_on_buffering(capsys, fmt):
+def test_stdout_does_not_depend_on_buffering(capsys, fresh_python, fmt):
     argv = ["pmf", "--n", "5000", "--p", "0.01", "--i", "2", "--format", fmt]
     assert run(argv) == 0
     expected = capsys.readouterr()[0].encode()
-    base = _cli_env()
-    base.pop("PYTHONUNBUFFERED", None)
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for env in (base, {**base, "PYTHONUNBUFFERED": "1"}):
-        proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=env,
-                              capture_output=True, timeout=120)
+        proc = fresh_python(["-m", "spacings", *argv], env=env, text=False)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected
 
 
-def test_rotation_sample_does_not_import_numpy_ma():
+def test_rotation_sample_does_not_import_numpy_ma(fresh_python):
     # numpy.ma is about 13 ms of a process's start-up; np.unique imports it
     code = ("import sys; from spacings.cli import run; "
             "code = run(['seq-sample', '--alpha', '0.6180339887498949', '--count', '20000', "
             "'--p', '0.1']); print('numpy.ma' in sys.modules, code)")
-    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
-                          text=True, timeout=120)
+    proc = fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False 0"
 
@@ -697,23 +718,21 @@ def test_trials_past_int64_write_one_error_line(capsys):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: trials=")
 
 
-def test_oversized_seq_sample_writes_one_error_line():
+def test_oversized_seq_sample_writes_one_error_line(fresh_python):
     # k alpha overflows float64: refused before numpy can warn on stderr; of the
     # counts, the first fails to allocate and the second is refused before k alpha;
     # the Farey order is refused before any pair is built
     for argv in (_ROTATION_OVERFLOW, *_ROTATION_COUNTS, _FAREY_OVERSIZE):
-        proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
-                              capture_output=True, text=True, timeout=120)
+        proc = fresh_python(["-m", "spacings", *argv])
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
-def test_huge_p_exponents_end_quickly_in_one_error_line():
+def test_huge_p_exponents_end_quickly_in_one_error_line(fresh_python):
     # underflow to 0 is refused as p outside (0, 1]; overflow as no number
     for argv in _HUGE_EXPONENTS:
-        proc = subprocess.run([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
-                              capture_output=True, text=True, timeout=10)
+        proc = fresh_python(["-m", "spacings", *argv], timeout=10)
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
@@ -777,11 +796,11 @@ def test_parse_p_matches_the_fraction_route(text):
     assert _parsed(cli._parse_p, text) == _parsed(_fraction_parse_p, text)
 
 
-def test_closed_pipe_exits_1_without_a_traceback():
+def test_closed_pipe_exits_1_without_a_traceback(fresh_python):
     # about 14 MB of table: the reader closes the pipe long before the end
     argv = ["pmf", "--n", "200000", "--p", "0.1", "--i", "3"]
-    proc = subprocess.Popen([sys.executable, "-m", "spacings", *argv], env=_cli_env(),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = fresh_python(["-m", "spacings", *argv], start=subprocess.Popen,
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline() == b"d,pmf,cdf,limit_cdf\n"
         proc.stdout.close()
@@ -801,10 +820,8 @@ main()
 """
 
 
-def test_main_freezes_the_collector_before_exit():
-    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, "limit", "--p", "0.5",
-                           "--d-max", "3"], env=_cli_env(), capture_output=True, text=True,
-                          timeout=120)
+def test_main_freezes_the_collector_before_exit(fresh_python):
+    proc = fresh_python(["-c", _FREEZE_PROBE, "limit", "--p", "0.5", "--d-max", "3"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("d,limit_pmf,limit_cdf\n")
     name, count = proc.stderr.splitlines()[-1].split()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spacings as sp
-from spacings.errors import DomainError, check_int, check_ints, check_p
+from spacings.errors import DomainError, check_instance, check_int, check_ints, check_p
 
 INF, NAN = math.inf, math.nan
 
@@ -51,6 +51,16 @@ class TestCheckInts:
         for bad in ([0, 1], [1, 4], [1.0, 2.0], ["a"]):
             with pytest.raises(DomainError, match="d needs integer values >= 1 and <= 3"):
                 check_ints(bad, "d", 1, 3)
+
+
+class TestCheckInstance:
+    def test_returns_an_instance_and_names_the_type_of_anything_else(self):
+        points = sp.grid(3)
+        assert check_instance(points, sp.PointSet, "points") is points
+        with pytest.raises(DomainError, match="^points must be a PointSet, not ndarray$"):
+            check_instance(points.points, sp.PointSet, "points")
+        with pytest.raises(DomainError, match="^emp must be an EmpiricalDistribution, not dict$"):
+            check_instance({1: 2}, sp.EmpiricalDistribution, "emp")
 
 
 class TestCheckP:
@@ -160,8 +170,7 @@ def _finite(value) -> bool:
     "sp.inter_arrival_stream(0.5, 1, 2**53)",
     "sp.spacing_distribution(sp.ModelParams(GRID_N_MAX, 0.5, 1)).d",
     "sp.convergence_sweep(0.5, 1, [GRID_N_MAX], GRID_N_MAX)",
-    "sp.EmpiricalDistribution({GRID_N_MAX: 1}).as_arrays()",
-], ids=["inter_arrival_stream", "DistributionTable.d", "convergence_sweep", "as_arrays"])
+], ids=["inter_arrival_stream", "DistributionTable.d", "convergence_sweep"])
 def test_an_array_the_host_cannot_hold_is_a_domain_error(bounded_refusal, call):
     seconds, message = bounded_refusal(call)
     assert seconds < 1.0 and message.startswith("Unable to allocate 64.0 PiB"), message
@@ -173,14 +182,11 @@ def test_the_sweep_names_every_public_callable_once():
 
 @pytest.mark.parametrize("name", sorted(_VALID_CALLS))
 def test_edge_values_raise_domain_errors_or_return_finite_results(name):
-    # arguments that take an EmpiricalDistribution or a PointSet are swept
-    # through those constructors; a ModelParams argument is swept here too
+    # every argument is swept, records (ModelParams, PointSet, EmpiricalDistribution) included
     call, valid = getattr(sp, name), _VALID_CALLS[name]
     assert _finite(call(*valid))
     failures = []
-    for k, arg in enumerate(valid):
-        if isinstance(arg, (sp.EmpiricalDistribution, sp.PointSet)):
-            continue
+    for k in range(len(valid)):
         for label, edge in _EDGE_VALUES.items():
             args = [*valid[:k], edge, *valid[k + 1 :]]
             start = time.perf_counter()

@@ -3,8 +3,6 @@
 import ast
 import functools
 import inspect
-import os
-import subprocess
 import sys
 import textwrap
 import types
@@ -27,13 +25,9 @@ _MEMBERS_WITHOUT_READER: dict[str, str] = {}
 _ROOT = Path(__file__).resolve().parents[1]
 
 
-def _in_fresh_process(code: str) -> str:
+def _in_fresh_process(fresh_python, code: str) -> str:
     """stdout of ``code`` run by a new interpreter that imports this package's source."""
-    src = str(Path(sp.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -84,9 +78,10 @@ print(type(oracle) is types.ModuleType, "enumerate_conditional_pmf" in vars(orac
 """
 
 
-def test_import_registers_every_layer_and_vars_runs_one():
+def test_import_registers_every_layer_and_vars_runs_one(fresh_python):
     # bench/tracer.py walks vars() of every spacings.* module after importing spacings.cli
-    registered, ran, after_cli, oracle = _in_fresh_process(_REGISTERED).splitlines()
+    out = _in_fresh_process(fresh_python, _REGISTERED)
+    registered, ran, after_cli, oracle = out.splitlines()
     assert registered == ",".join(f"spacings.{layer}" for layer in _LAYERS)
     assert ran == ""  # importing the package runs no layer
     assert after_cli == ",".join(sorted([*registered.split(","), "spacings.cli"]))
@@ -123,10 +118,11 @@ print(sum(t.is_alive() for t in threads), len(failures), failures)
 
 
 @pytest.mark.parametrize("attempt", range(5))
-def test_first_touch_from_eight_threads_sees_whole_layers(attempt):
+def test_first_touch_from_eight_threads_sees_whole_layers(fresh_python, attempt):
     # each layer runs at most once, and a thread that touches it while another
     # runs it waits for the whole module instead of reading a partial one
-    assert _in_fresh_process(_FIRST_TOUCH).splitlines()[-1] == "0 0 []"  # alive, failures
+    alive_and_failures = _in_fresh_process(fresh_python, _FIRST_TOUCH).splitlines()[-1]
+    assert alive_and_failures == "0 0 []"
 
 
 _RETRY = """
@@ -142,8 +138,9 @@ print(spacings.LogProb.__name__, type(sys.modules["spacings.logprob"]) is types.
 """
 
 
-def test_a_layer_whose_code_raised_runs_again_on_the_next_read():
-    assert _in_fresh_process(_RETRY).splitlines() == ["raised _Registered", "LogProb True"]
+def test_a_layer_whose_code_raised_runs_again_on_the_next_read(fresh_python):
+    out = _in_fresh_process(fresh_python, _RETRY)
+    assert out.splitlines() == ["raised _Registered", "LogProb True"]
 
 
 def _names_in(code: str) -> set:
@@ -170,18 +167,25 @@ def test_every_public_function_has_a_caller_the_system_runs(quickstart):
     assert set(_LIBRARY_ONLY) <= functions - named  # each exception is still needed
 
 
-def _attributes_in(code: str) -> set:
-    """Every name that ``code`` reads or sets as an attribute."""
-    return {node.attr for node in ast.walk(ast.parse(code)) if isinstance(node, ast.Attribute)}
+def _attributes_in(tree: ast.AST, outside: str | None = None) -> set:
+    """Every name that ``tree`` reads or sets as an attribute, outside class ``outside``'s body."""
+    parts = [node for node in ast.iter_child_nodes(tree)
+             if not (isinstance(node, ast.ClassDef) and node.name == outside)]
+    return {node.attr for part in parts for node in ast.walk(part)
+            if isinstance(node, ast.Attribute)}
 
 
-def _members(cls) -> set:
-    """The public fields, properties and methods of ``cls``, and what it sets on ``self``."""
+def _fields(cls) -> set:
+    """The public fields of ``cls``: its annotated names and what it sets on ``self``."""
     stores = {node.attr for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls))))
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
               and isinstance(node.value, ast.Name) and node.value.id == "self"}
-    return {name for name in {*vars(cls), *inspect.get_annotations(cls), *stores}
-            if not name.startswith("_")}
+    return {name for name in {*inspect.get_annotations(cls), *stores} if not name.startswith("_")}
+
+
+def _members(cls) -> set:
+    """The public fields, properties and methods of ``cls``."""
+    return _fields(cls) | {name for name in vars(cls) if not name.startswith("_")}
 
 
 def test_every_public_member_has_a_reader_the_system_runs(quickstart):
@@ -192,24 +196,32 @@ def test_every_public_member_has_a_reader_the_system_runs(quickstart):
     ``bench/*.py``.  Dunders, private names, exception types and classes
     defined outside the package (``Rational``) are exempt.  A member counts
     as read when its name is read or set as an attribute anywhere in those
-    files: the match is by name, so it cannot tell ``ExactTable.total`` from
-    ``EmpiricalDistribution.total``, and one reader of a name covers every
-    class that has it.
+    files, except that a property or method read only inside its own class
+    body is not read: a reader within the class serves nobody outside it.
+    Fields are read wherever they are, since the constructor takes them.
+    The match is by name, so it cannot tell ``ExactTable.n`` from
+    ``ModelParams.n``, and one reader of a name covers every class that has it.
     """
     readers = [*sorted((_ROOT / "src" / "spacings").glob("*.py")),
                *sorted((_ROOT / "demos").glob("*.py")), _ROOT / "tests" / "test_acceptance.py",
                *sorted((_ROOT / "bench").glob("*.py"))]
-    named = _attributes_in(quickstart).union(*(_attributes_in(path.read_text())
-                                               for path in readers))
+    files = [None, *(path.resolve() for path in readers)]  # None: the quickstart block
+    trees = [ast.parse(quickstart), *(ast.parse(path.read_text()) for path in readers)]
+    named = set().union(*map(_attributes_in, trees))
     classes = [obj for obj in (getattr(sp, name) for name in sp.__all__)
                if isinstance(obj, type) and obj.__module__.startswith("spacings")
                and not issubclass(obj, BaseException)]
-    members = {f"{cls.__name__}.{name}": name for cls in classes for name in _members(cls)}
-    unread = sorted(member for member, name in members.items()
-                    if name not in named and member not in _MEMBERS_WITHOUT_READER)
-    assert not unread, f"public members that no part of the system reads: {unread}"
-    for member in _MEMBERS_WITHOUT_READER:  # each exception is still needed
-        assert member in members and members[member] not in named
+    unread = set()
+    for cls in classes:
+        own = Path(inspect.getsourcefile(cls)).resolve()
+        outside = set().union(*(_attributes_in(tree, cls.__name__ if path == own else None)
+                                for path, tree in zip(files, trees)))
+        fields = _fields(cls)
+        unread |= {f"{cls.__name__}.{name}" for name in _members(cls)
+                   if name not in (named if name in fields else outside)}
+    missing = sorted(unread - set(_MEMBERS_WITHOUT_READER))
+    assert not missing, f"public members that no part of the system reads: {missing}"
+    assert set(_MEMBERS_WITHOUT_READER) <= unread  # each exception is still needed
 
 
 def test_every_package_part_the_benchmark_reads_exists():

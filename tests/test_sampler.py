@@ -1,12 +1,9 @@
 import concurrent.futures
 import math
 import os
-import subprocess
-import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +32,10 @@ def dense_reference(n, p, i, trials, seed):
 
 def _dense_counts(emp, k):
     """Counts of d = 1..k from a histogram, zero where d was not observed."""
-    counts = emp.as_arrays()[1]
-    return np.pad(counts, (0, max(k - counts.size, 0)))[:k]
+    counts = np.zeros(k, dtype=np.int64)
+    inside = emp.atoms <= k
+    counts[emp.atoms[inside] - 1] = emp.counts[inside]
+    return counts
 
 
 def _chi_square_pvalue(counts, masses):
@@ -77,7 +76,7 @@ class TestSampleSubset:
 
     def test_spacings_telescope(self):
         run = sp.sample_subset(sp.farey(30), 0.4, 99)
-        values = run.survivor_values
+        values = run.points.points[run.survivors]
         assert run.spacings.sum() == pytest.approx(values[-1] - values[0], abs=1e-12)
         assert np.all(run.spacings > 0)
 
@@ -263,7 +262,7 @@ class TestCollectEmpirical:
         assert results[0] == sp.EmpiricalDistribution(merged, args[3] - sum(merged.values()))
         assert results[0].total > 0
 
-    def test_one_block_starts_no_thread(self):
+    def test_one_block_starts_no_thread(self, fresh_python):
         # a fresh process: this one may have loaded concurrent.futures already
         code = ("import sys, threading\n"
                 "started = []\n"
@@ -273,11 +272,7 @@ class TestCollectEmpirical:
                 f"emp = sp.collect_empirical(400, 0.2, 2, {sampler._BLOCK_TRIALS}, 77)\n"
                 "print(emp.total + emp.discarded, len(started), "
                 "'concurrent.futures' in sys.modules)")
-        src = str(Path(sp.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = fresh_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(sampler._BLOCK_TRIALS), "0", "False"]
 
@@ -398,32 +393,22 @@ class TestCollectEmpirical:
 
 
 class TestEmpiricalDistribution:
-    def test_as_arrays_fills_the_gaps_with_zero_counts(self):
-        emp = sp.EmpiricalDistribution({2: 5, 5: 1, 1: 3})
-        d, counts = emp.as_arrays()
-        assert d.tolist() == [1, 2, 3, 4, 5]
-        assert counts.tolist() == [3, 5, 0, 0, 1]
-        assert counts.dtype == np.int64
-        assert counts.sum() == emp.total == 9
-
-    def test_as_arrays_of_an_empty_histogram(self):
-        d, counts = sp.EmpiricalDistribution({}).as_arrays()
-        assert d.size == 0 and counts.size == 0
-        assert counts.dtype == np.int64
+    def test_an_empty_histogram_has_empty_int64_arrays(self):
+        emp = sp.EmpiricalDistribution({})
+        assert emp.atoms.size == emp.counts.size == emp.total == 0
+        assert emp.atoms.dtype == emp.counts.dtype == np.int64
 
     def test_collected_counts_are_integers(self):
         emp = sp.collect_empirical(50, 0.3, 2, 2_000, 6)
         assert emp.atoms.dtype == emp.counts.dtype == np.int64
         assert type(emp.total) is int
-        d, counts = emp.as_arrays()
-        assert counts.dtype == np.int64 and counts.sum() == emp.total
-        assert d.size == emp.max_observed
+        assert emp.counts.sum() == emp.total
 
     def test_atoms_sorted_with_zero_counts_kept_and_read_only(self):
         emp = sp.EmpiricalDistribution({9: 2, 3: 0, 4: 1}, discarded=5)
         assert emp.atoms.tolist() == [3, 4, 9]
         assert emp.counts.tolist() == [0, 1, 2]
-        assert emp.total == 3 and emp.max_observed == 9 and emp.discarded == 5
+        assert emp.total == 3 and emp.discarded == 5
         with pytest.raises(ValueError):
             emp.counts[0] = 7
 
