@@ -357,8 +357,8 @@ def main() -> None:
     (Python 3.11, numpy 2.4) this cuts the time from the last ``atexit``
     hook to EOF on stdout from 30-44 ms to 6-10 ms per invocation (fastest
     of five, each of the benchmark's 15 requests).
-    ``atexit`` handlers, the worker-thread join and the final flush of the
-    standard streams still run, so output and exit codes do not change.
+    ``atexit`` handlers and the final flush of the standard streams still
+    run, so output and exit codes do not change.
     ``run`` itself does not freeze: callers that import the package or call
     ``run`` keep a normal collector.
 

@@ -54,7 +54,13 @@ def _check_args(n, i) -> tuple[int, int]:
     return n, check_int(i, "i", 1, n)
 
 
-class ExactTable(NamedTuple):
+class _ExactFields(NamedTuple):
+    n: int
+    p: Fraction
+    masses: dict[int, Fraction]
+
+
+class ExactTable(_ExactFields):
     """Conditional spacing pmf with exact rational masses over d = 1..n.
 
     A named tuple of (n, p, masses): immutable, so it is also iterable and
@@ -62,12 +68,25 @@ class ExactTable(NamedTuple):
     reads one mass; sums and float conversions are left to the caller.  A named
     tuple, not a dataclass, because ``dataclasses`` imports ``inspect``,
     which an oracle request, running without numpy, would load for this
-    class alone.
+    class alone.  A named tuple cannot check its own arguments, so this
+    subclass of one does: n must be an integer >= 1, p an exact rational in
+    (0, 1], and masses a dict of every d = 1..n to a ``Fraction`` in [0, 1],
+    or DomainError is raised, in O(n); ``_make`` and ``_replace`` check too.
     """
 
-    n: int
-    p: Fraction
-    masses: dict[int, Fraction]
+    __slots__ = ()
+
+    def __new__(cls, n, p, masses):
+        n, p = check_int(n, "n", 1), _as_rational(p)
+        if not (isinstance(masses, dict) and len(masses) == n
+                and masses.keys() == set(range(1, n + 1))
+                and all(isinstance(m, Fraction) and 0 <= m <= 1 for m in masses.values())):
+            raise DomainError(f"masses must be a dict of every d = 1..{n} to a Fraction in [0, 1]")
+        return super().__new__(cls, n, p, masses)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so both are checked
+        return cls(*iterable)
 
     def mass(self, d: int) -> Fraction:
         return self.masses[d]

@@ -29,9 +29,8 @@ of trials alone.  Block b draws from
 ``numpy.random.SeedSequence(seed, spawn_key=(b,))``, the same stream as
 child b of ``SeedSequence(seed).spawn(...)``, so any block can be
 recomputed from its index alone.  Block counts merge by exact integer
-addition, so the outcome depends on (trials, seed) and the model alone,
-never on how many threads run the blocks.  Blocks run on one thread per
-CPU, and at most one thread per block of 65,536 trials.
+addition, so the outcome depends on (trials, seed) and the model alone.
+Blocks run in order in the calling thread, one core whatever the trials.
 
 A histogram has one form, ``EmpiricalDistribution``'s sorted atoms and
 their counts, so its size follows the distinct spacings seen, not the
@@ -42,8 +41,6 @@ are built by the command line alone.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -197,16 +194,14 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     Poisson(Gamma(i, q/p)) failure count, then one geometric step to the
     (i+1)-th survivor, which is the spacing; the trial is discarded when that
     survivor lies beyond the grid.  Three draws per trial make the cost
-    O(trials) whatever n and i are, with O(_BLOCK_TRIALS) memory per thread.
+    O(trials) whatever n and i are, with O(_BLOCK_TRIALS) memory for a block.
     Blocks hold a fixed number of trials, so the partitioning depends on
-    trials alone and the seeds on seed alone; they run on one thread per
-    CPU, up to one per block, and results never depend on that number.
-    When that number is one, the blocks run in order in the calling thread
-    and no pool is built, so a one-block request starts no thread and
-    imports no ``concurrent.futures``.  Otherwise at most two blocks per
-    thread are submitted ahead of the one being merged.  Block counts are
-    added into the running histogram as they arrive (``_histogram``), so
-    beyond the histogram itself memory does not grow with the trials.
+    trials alone and the seeds on seed alone.  They run one after another in
+    the calling thread and no thread is started, so an exception or an
+    interrupt raised in a block ends the run there: no later block runs.
+    Block counts are added into the running histogram as they arrive
+    (``_histogram``), so beyond the histogram itself memory does not grow
+    with the trials.
 
     The histogram's ``atoms`` are the distinct spacings seen, ascending, and
     its ``counts`` their int64 tallies, which sum to the retained trials; so
@@ -219,27 +214,9 @@ def collect_empirical(n, p, i, trials, seed) -> EmpiricalDistribution:
     seed = check_int(seed, "seed", 0, _SEED_MAX)
     n_blocks = (trials + _BLOCK_TRIALS - 1) // _BLOCK_TRIALS
     block = partial(_simulate_block, seed, n=params.n, p=params.p, i=params.i, trials=trials)
-    threads = min(os.cpu_count() or 1, n_blocks)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loaded only to start a pool
-
-        with ThreadPoolExecutor(threads) as pool:
-            support, totals = _histogram(_windowed(pool, block, n_blocks, 2 * threads))
-    else:
-        support, totals = _histogram(map(block, range(n_blocks)))
+    support, totals = _histogram(map(block, range(n_blocks)))
     return EmpiricalDistribution(dict(zip(support.tolist(), totals.tolist())),
                                  trials - int(totals.sum()))
-
-
-def _windowed(pool, block, n_blocks: int, window: int):
-    """block(b) for b = 0..n_blocks-1 from ``pool``, at most ``window`` submitted ahead."""
-    pending = deque()
-    for b in range(n_blocks):
-        pending.append(pool.submit(block, b))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 def _histogram(parts) -> tuple[np.ndarray, np.ndarray]:

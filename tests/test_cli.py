@@ -438,8 +438,11 @@ def _probe(fresh_python, argv) -> str:
     (["limit", "--p", "0.3", "--d-max", "5"], _EXACT, "dataclasses,numpy"),
     (["limit", "--p", "1/3", "--d-max", "5"], _EXACT, "dataclasses,decimal,fractions,numpy"),
     (["stream", "--p", "0.3", "--count", "5"], "errors,sampler", "dataclasses,numpy"),
-    # one block of trials: no thread pool, so no concurrent.futures (and its logging)
+    # one block of trials, then three: every block runs in the calling thread,
+    # so no concurrent.futures (and its logging)
     (["sample", "--n", "50", "--p", "0.3", "--i", "1", "--trials", "20"],
+     "distribution,errors,logprob,sampler", "dataclasses,numpy"),
+    (["sample", "--n", "50", "--p", "0.3", "--i", "1", "--trials", "131073"],
      "distribution,errors,logprob,sampler", "dataclasses,numpy"),
     (["sweep", "--p", "0.3", "--i", "1", "--n-list", "10,100", "--d-max", "5"],
      "diagnostics,distribution,errors,logprob", "dataclasses,numpy"),

@@ -119,6 +119,7 @@ _VALID_CALLS = {
     "LogProb": (-1.0,),
     "enumerate_conditional_pmf": (6, Fraction(1, 3), 2),
     "exact_closed_form_pmf": (6, Fraction(1, 3), 2),
+    "ExactTable": (6, Fraction(1, 3), sp.enumerate_conditional_pmf(6, Fraction(1, 3), 2).masses),
     "EmpiricalDistribution": ({1: 3, 2: 1}, 0),
     "collect_empirical": (50, 0.5, 2, 100, 1),
     "inter_arrival_stream": (0.5, 1, 10),
@@ -139,8 +140,6 @@ _NOT_SWEPT = {
     "EmptySampleError": "an exception type: any message is valid",
     "EnumerationLimitError": "an exception type: any message is valid",
     "Rational": "fractions.Fraction itself; the oracle reads p through its own check",
-    "ExactTable": "a result record of the two oracle functions, which are swept; "
-                  "it holds their checked n and p and checks nothing itself",
 }
 _EDGE_VALUES = {"nan": NAN, "inf": INF, "-inf": -INF, "text": "x", "10**400": 10**400,
                 "2**63": 2**63, "[]": [], "-1": -1, "None": None, "tuple": (5, 0.5, 1)}

@@ -84,6 +84,31 @@ def test_rejects_floats_and_bad_ranges():
         sp.enumerate_conditional_pmf(17, Fraction(1, 2), 1)
 
 
+def test_a_table_built_by_hand_checks_n_p_and_masses():
+    table = sp.enumerate_conditional_pmf(3, "1/2", 1)
+    assert sp.ExactTable(*table) == table
+    assert sp.ExactTable(3, "1/2", table.masses).p == Fraction(1, 2)
+    halves = {1: Fraction(1, 2), 2: Fraction(1, 2)}
+    for n, p, masses in [
+        (math.inf, Fraction(1, 2), {}),
+        (0, Fraction(1, 2), {}),
+        (2, 0.5, halves),
+        (2, Fraction(3, 2), halves),
+        (3, Fraction(1, 2), halves),  # d = 3 missing
+        (2, Fraction(1, 2), {1: Fraction(1, 2), 3: Fraction(1, 2)}),
+        (2, Fraction(1, 2), {1: 0.5, 2: 0.5}),
+        (2, Fraction(1, 2), {1: Fraction(3, 2), 2: Fraction(-1, 2)}),
+        (2, Fraction(1, 2), list(halves.items())),
+    ]:
+        with pytest.raises(DomainError):
+            sp.ExactTable(n, p, masses)
+        with pytest.raises(DomainError):
+            sp.ExactTable._make([n, p, masses])
+    with pytest.raises(DomainError):
+        table._replace(n=math.inf)
+    assert table._replace(p="1/2") == table
+
+
 def _reference_gap_counts(n, i):
     """(survivors, gap, count) over the patterns with more than i survivors, one at a time."""
     tally = Counter()

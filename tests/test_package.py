@@ -176,11 +176,13 @@ def _attributes_in(tree: ast.AST, outside: str | None = None) -> set:
 
 
 def _fields(cls) -> set:
-    """The public fields of ``cls``: its annotated names and what it sets on ``self``."""
+    """Public fields of ``cls``: names it or a package base annotates, and its ``self`` stores."""
     stores = {node.attr for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls))))
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
               and isinstance(node.value, ast.Name) and node.value.id == "self"}
-    return {name for name in {*inspect.get_annotations(cls), *stores} if not name.startswith("_")}
+    annotated = {name for base in cls.__mro__ if base.__module__.startswith("spacings")
+                 for name in inspect.get_annotations(base)}
+    return {name for name in {*annotated, *stores} if not name.startswith("_")}
 
 
 def _members(cls) -> set:

@@ -1,6 +1,5 @@
-import concurrent.futures
 import math
-import os
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -36,6 +35,10 @@ def _dense_counts(emp, k):
     inside = emp.atoms <= k
     counts[emp.atoms[inside] - 1] = emp.counts[inside]
     return counts
+
+
+class _BlockFailed(Exception):
+    """Raised by a block that a test makes fail."""
 
 
 def _chi_square_pvalue(counts, masses):
@@ -184,97 +187,60 @@ class TestCollectEmpirical:
         assert 0 < emp.discarded < trials
 
     @staticmethod
-    def _with_cpus(monkeypatch, cpus, *args):
-        """collect_empirical(*args) on a machine that reports ``cpus`` CPUs.
+    def _recorded_blocks(monkeypatch, fail_at=None, error=None):
+        """Block indices and threads that ``_simulate_block`` runs on from now on.
 
-        Returns the result and the thread count the blocks ran on: the pool's
-        size, or one when no pool was built.
+        Block ``fail_at`` raises ``error`` once it is recorded.
         """
-        threads = []
+        ran, simulate = [], sampler._simulate_block
 
-        class Recorder(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                threads.append(max_workers)
-                super().__init__(max_workers)
+        def recorded(seed, b, *args, **kwargs):
+            ran.append((b, threading.get_ident()))
+            if b == fail_at:
+                raise error
+            return simulate(seed, b, *args, **kwargs)
 
-        with monkeypatch.context() as m:
-            m.setattr(os, "cpu_count", lambda: cpus)
-            # collect_empirical imports the executor when it is called
-            m.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-            emp = sp.collect_empirical(*args)
-        return emp, threads[0] if threads else 1
+        monkeypatch.setattr(sampler, "_simulate_block", recorded)
+        return ran
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        args = (400, 0.2, 2, 2 * sampler._BLOCK_TRIALS + 7, 77)  # three blocks
-        base, threads = self._with_cpus(monkeypatch, 1, *args)
-        assert threads == 1
-        for cpus in (3, 4):
-            threaded, threads = self._with_cpus(monkeypatch, cpus, *args)
-            assert threads == 3
-            assert base == threaded  # atoms, counts and discarded
-
-    def test_workers_across_several_blocks(self, monkeypatch):
-        trials = 3 * sampler._BLOCK_TRIALS + 7  # four blocks
-        args = (10**6, 0.01, 1, trials, 91)
-        base = self._with_cpus(monkeypatch, 1, *args)[0]
-        # os.cpu_count() is None when the count is unknown: one thread
-        for cpus, expected in ((3, 3), (4, 4), (8, 4), (None, 1)):
-            threaded, threads = self._with_cpus(monkeypatch, cpus, *args)
-            assert threads == expected
-            assert base == threaded
-        assert base.total + base.discarded == trials
-
-    def test_blocks_in_flight_stay_within_two_per_thread(self, monkeypatch):
+    def test_blocks_run_in_order_and_merge_to_their_sum(self, monkeypatch):
         monkeypatch.setattr(sampler, "_BLOCK_TRIALS", 64)
         args = (300, 0.1, 2, 64 * 40 + 5, 9)  # 41 blocks
-        submitted, read, peak = [0], [0], [0]
-
-        class Recorder(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, *a, **kw):
-                future = super().submit(*a, **kw)
-                submitted[0] += 1
-                peak[0] = max(peak[0], submitted[0] - read[0])
-                result = future.result
-
-                def counted(timeout=None):
-                    read[0] += 1
-                    return result(timeout)
-
-                future.result = counted
-                return future
-
-        results = []
-        for cpus in (1, 2, 3, 8, None):
-            submitted[0] = read[0] = peak[0] = 0
-            with monkeypatch.context() as m:
-                m.setattr(os, "cpu_count", lambda: cpus)
-                m.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-                emp = sp.collect_empirical(*args)
-            threads = min(cpus or 1, 41)
-            assert peak[0] == (2 * threads if threads > 1 else 0), cpus
-            assert submitted[0] == read[0] == (41 if threads > 1 else 0)
-            results.append(emp)
-        assert all(emp == results[0] for emp in results)
         merged = {}  # the blocks merged one by one, in Python ints
         for b in range(41):
             for v, c in zip(*(a.tolist() for a in sampler._simulate_block(9, b, *args[:4]))):
                 merged[v] = merged.get(v, 0) + c
-        assert results[0] == sp.EmpiricalDistribution(merged, args[3] - sum(merged.values()))
-        assert results[0].total > 0
+        ran = self._recorded_blocks(monkeypatch)
+        emp = sp.collect_empirical(*args)
+        assert ran == [(b, threading.get_ident()) for b in range(41)]
+        assert emp == sp.EmpiricalDistribution(merged, args[3] - sum(merged.values()))
+        assert emp.total > 0
+
+    @pytest.mark.parametrize("error", [_BlockFailed, KeyboardInterrupt],
+                             ids=["exception", "interrupt"])
+    def test_an_error_in_a_block_ends_the_run_at_that_block(self, monkeypatch, error):
+        monkeypatch.setattr(sampler, "_BLOCK_TRIALS", 64)
+        ran = self._recorded_blocks(monkeypatch, fail_at=1, error=error("block 1"))
+        with pytest.raises(error, match="block 1"):
+            sp.collect_empirical(300, 0.1, 2, 64 * 7, 9)  # 7 blocks
+        assert ran == [(0, threading.get_ident()), (1, threading.get_ident())]
 
     def test_one_block_starts_no_thread(self, fresh_python):
-        # a fresh process: this one may have loaded concurrent.futures already
+        # a fresh process: this one may have loaded concurrent.futures already;
+        # one block, then three
         code = ("import sys, threading\n"
                 "started = []\n"
                 "start = threading.Thread.start\n"
                 "threading.Thread.start = lambda t: (started.append(t), start(t))[1]\n"
                 "import spacings as sp\n"
-                f"emp = sp.collect_empirical(400, 0.2, 2, {sampler._BLOCK_TRIALS}, 77)\n"
-                "print(emp.total + emp.discarded, len(started), "
-                "'concurrent.futures' in sys.modules)")
+                f"for trials in ({sampler._BLOCK_TRIALS}, {2 * sampler._BLOCK_TRIALS + 1}):\n"
+                "    emp = sp.collect_empirical(400, 0.2, 2, trials, 77)\n"
+                "    print(emp.total + emp.discarded, len(started),\n"
+                "          *(m in sys.modules for m in ('concurrent.futures', 'logging')))")
         proc = fresh_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(sampler._BLOCK_TRIALS), "0", "False"]
+        assert proc.stdout.split() == [str(sampler._BLOCK_TRIALS), "0", "False", "False",
+                                       str(2 * sampler._BLOCK_TRIALS + 1), "0", "False", "False"]
 
     @pytest.mark.parametrize("n, p, i", [(10**9, 0.5, 3), (10**12, 1e-11, 1)])
     def test_memory_does_not_grow_with_n(self, n, p, i):
@@ -414,10 +380,17 @@ class TestEmpiricalDistribution:
 
     @pytest.mark.parametrize("counts", [
         {1: 5, 2: -3}, {1.5: 2}, {0: 2}, {-1: 2}, {1: 2.5}, {10**30: 1}, {"a": 1},
+        {(1, 2): 1}, {1: 2**62, 2: 2**62},
     ], ids=repr)
     def test_bad_mappings_are_domain_errors(self, counts):
         with pytest.raises(DomainError):
             sp.EmpiricalDistribution(counts)
+
+    def test_equal_only_to_an_equal_histogram(self):
+        emp = sp.EmpiricalDistribution({1: 3, 2: 1}, discarded=2)
+        assert emp == sp.EmpiricalDistribution({2: 1, 1: 3}, discarded=2)
+        assert emp != sp.EmpiricalDistribution({1: 3, 2: 1})
+        assert (emp == object()) is False and emp != {1: 3, 2: 1}
 
 
 class TestInterArrivalStream:
